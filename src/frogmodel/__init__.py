@@ -12,8 +12,7 @@ from .frogsim import (ActivationRecord, FrogConfig, RegimeReport,
 from .speed import SpeedFunction
 from .tadibp import (GrainField, chain_connected, connected_to_horizon,
                      dry_probability, overshoot_sequence,
-                     percolation_sequence, sample_grain_field,
-                     sample_grain_fields, wet_mask)
+                     percolation_sequence, sample_grain_fields, wet_mask)
 from .walks import (ReachResult, TailEstimate, Trajectory, estimate_reach_tail,
                     fast_reach, reach_batch, sample_trajectory)
 
@@ -24,6 +23,6 @@ __all__ = [
     "YLogY", "chain_connected", "connected_to_horizon", "dist_from_config",
     "dry_probability", "estimate_reach_tail", "fast_reach",
     "overshoot_sequence", "percolation_sequence", "reach_batch",
-    "regime_diagnostic", "sample_grain_field", "sample_grain_fields",
+    "regime_diagnostic", "sample_grain_fields",
     "sample_trajectory", "simulate", "wet_mask",
 ]

@@ -123,10 +123,6 @@ class InitialDistribution:
         x = np.asarray(x, dtype=float)
         return 1.0 - self.tail(np.floor(x) + 1.0)
 
-    def cdf_at_log(self, ell) -> np.ndarray:
-        """P{count <= e^ell} with the continuous-law convention for huge ell."""
-        return 1.0 - self.tail_at_log(ell)
-
     def sample_counts_log(self, rng, size: int) -> CountBatch:
         counts = np.asarray(self.sample(rng, size=size, clamp=(1 << 53)), dtype=float)
         with np.errstate(divide="ignore"):
@@ -452,6 +448,8 @@ _FAMILIES = {
 
 def dist_from_config(spec: dict) -> InitialDistribution:
     """Build a count law from config like {"family": "logpareto", "a": 0.5}."""
+    if not isinstance(spec, dict):
+        raise TypeError(f"count law spec must be a mapping, got {spec!r}")
     family = spec.get("family")
     if family not in _FAMILIES:
         raise ValueError(f"unknown distribution family: {family!r}")

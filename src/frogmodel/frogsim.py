@@ -166,6 +166,11 @@ class ActivationRecord:
     def right_horizon(self) -> int:
         return self.theta.size - 1
 
+    @property
+    def censored(self) -> bool:
+        """Any stop but reaching the horizon (caps, starvation) leaves sites unreached."""
+        return self.stop_reason != "reached-horizon"
+
 
 def simulate(config: FrogConfig, record_trace: bool = False) -> ActivationRecord:
     """Run one realization; see the module docstring for exactness semantics."""
@@ -485,7 +490,7 @@ def regime_diagnostic(records: list, levels: int = 5,
         raise ValueError(f"horizon {r} != base {base} * 2^{levels}")
     sites = base * (2 ** np.arange(levels + 1))
 
-    per_deltas, slopes, labels = [], [], []
+    theta0, per_deltas, slopes, labels = [], [], [], []
     excluded = 0
     for rec in records:
         vals = rec.theta[sites]
@@ -494,6 +499,7 @@ def regime_diagnostic(records: list, levels: int = 5,
             continue
         deltas = np.diff(vals)
         slope, label = _label_from(deltas, float(vals[-1]))
+        theta0.append(vals[0])
         per_deltas.append(deltas)
         slopes.append(slope)
         labels.append(label)
@@ -503,9 +509,7 @@ def regime_diagnostic(records: list, levels: int = 5,
                             np.array([]), 0.0, LABEL_OPEN, excluded, base, levels)
 
     med = np.median(np.stack(per_deltas), axis=0)
-    med_theta0 = float(np.median([rec.theta[sites[0]] for rec in records
-                                  if not math.isnan(rec.theta[sites[0]])]))
-    med_theta_top = med_theta0 + float(np.sum(med))
+    med_theta_top = float(np.median(theta0)) + float(np.sum(med))
     slope, label = _label_from(med, med_theta_top)
 
     tally = {lab: labels.count(lab) for lab in set(labels)}

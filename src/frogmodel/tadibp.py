@@ -46,14 +46,11 @@ class GrainField:
 
 
 def overshoot_sequence(psi: GrainField | np.ndarray) -> np.ndarray:
-    """Y[m] = max over z <= m of (z + length_z) - m, by the linear recursion
-    Y[m] = length[m] max (Y[m-1] - 1)."""
+    """Y[m] = max over z <= m of (z + length_z) - m, a running maximum; it
+    satisfies the recursion Y[m] = length[m] max (Y[m-1] - 1)."""
     lengths = psi.lengths if isinstance(psi, GrainField) else np.asarray(psi, dtype=np.int64)
-    y = np.empty(lengths.size, dtype=np.int64)
-    y[0] = lengths[0]
-    for m in range(1, lengths.size):
-        y[m] = max(lengths[m], y[m - 1] - 1)
-    return y
+    sites = np.arange(lengths.size, dtype=np.int64)
+    return np.maximum.accumulate(sites + lengths) - sites
 
 
 def wet_mask(psi: GrainField | np.ndarray) -> np.ndarray:
@@ -235,12 +232,6 @@ def sample_grain_fields(speed: SpeedFunction, dist, horizon: int, rng,
                        value_saturated=(lengths[f] >= cap),
                        count_truncated=truncated[f])
             for f in range(n_fields)]
-
-
-def sample_grain_field(speed: SpeedFunction, dist, horizon: int, rng,
-                       cap: int = DEFAULT_REACH_CAP,
-                       traj_cap: int = DEFAULT_TRAJ_CAP) -> GrainField:
-    return sample_grain_fields(speed, dist, horizon, rng, 1, cap, traj_cap)[0]
 
 
 def save_field(path, psi: GrainField) -> None:

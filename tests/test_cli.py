@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -183,3 +184,105 @@ def test_output_env_var_default(tmp_path, monkeypatch):
                      "right_horizon": 4, "seed": 1})
     assert run(["sim-frog", "--config", cfg]) == 0
     assert (tmp_path / "envout" / "sim-frog.csv").exists()
+
+
+DIRAC1 = {"family": "dirac", "k": 1}
+CONST2 = {"family": "constant", "value": 2.0}
+
+# one small working config per subcommand
+SMALL = {
+    "sim-frog": {"dist": DIRAC1, "right_horizon": 4, "seed": 1},
+    "sim-tadibp": {"dist": DIRAC1, "speed": CONST2, "horizon": 4, "seed": 1},
+    "dry-prob": {"dist": DIRAC1, "speed": CONST2, "sites": [2], "fields": 20,
+                 "reach_replicas": 50, "seed": 1},
+    "ell-tail": {"dist": DIRAC1, "speed": CONST2, "x": [0], "j": [1],
+                 "replicas": 100, "seed": 1},
+    "check-conditions": {"dist": DIRAC1, "speed": {"family": "power", "alpha": 2.0},
+                         "checks": ["speed-series"]},
+    "bounds": {"speed": CONST2, "i_values": [0], "j_values": [1],
+               "walks_per_cell": 100, "seed": 1},
+    "sweep": {"dists": [DIRAC1], "right_horizons": [8], "replicas": 1,
+              "levels": 2, "seed": 1},
+}
+
+# (subcommand, flag) -> the config key the flag overrides; all others are refused
+OVERRIDES = {
+    ("sim-frog", "--horizon"): "right_horizon", ("sim-frog", "--replicas"): "replicas",
+    ("sim-tadibp", "--horizon"): "horizon", ("sim-tadibp", "--replicas"): "fields",
+    ("ell-tail", "--replicas"): "replicas", ("check-conditions", "--horizon"): "horizon",
+    ("sweep", "--replicas"): "replicas",
+    **{(sub, "--seed"): "seed" for sub in SMALL if sub != "check-conditions"},
+}
+
+
+@pytest.mark.parametrize("flag", ["--horizon", "--replicas", "--seed"])
+@pytest.mark.parametrize("sub", sorted(SMALL))
+def test_override_flags(tmp_path, capsys, sub, flag):
+    cfg = write_cfg(tmp_path, "c.json", SMALL[sub])
+    out = tmp_path / "out"
+    code = run([sub, "--config", cfg, flag, "3", "--output", str(out)])
+    key = OVERRIDES.get((sub, flag))
+    if key is None:
+        assert code == 2
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert code == 0
+        assert json.loads((out / f"{sub}_meta.json").read_text())["config"][key] == 3
+
+
+@pytest.mark.parametrize("sub,changes,key", [
+    ("sim-frog", {"right_horizon": "abc"}, "right_horizon"),
+    ("sim-frog", {"replicas": "x"}, "replicas"),
+    ("sim-tadibp", {"fields": [1]}, "fields"),
+    ("ell-tail", {"j": [4], "reach_cap": 4}, "reach_cap"),
+    ("bounds", {"walks_per_cell": 0}, "walks_per_cell"),
+    ("sweep", {"frog": {"replicaz": 3}}, "frog: unknown config keys: ['replicaz']"),
+    ("bounds", {"tail_lower": {"dist": DIRAC1, "replicaz": 5}},
+     "tail_lower: unknown config keys: ['replicaz']"),
+])
+def test_bad_config_value_exits_2_naming_key(tmp_path, capsys, sub, changes, key):
+    cfg = write_cfg(tmp_path, "c.json", {**SMALL[sub], **changes})
+    out = tmp_path / "out"
+    assert run([sub, "--config", cfg, "--output", str(out)]) == 2
+    assert f"config error: {sub}: {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sub,payload", [
+    ("sim-frog", {"dist": {"family": "poisson", "lam": 1.0}, "right_horizon": 32,
+                  "replicas": 3, "seed": 9}),
+    ("sweep", {"dists": [DIRAC1, {"family": "poisson", "lam": 1.0}],
+               "right_horizons": [16, 32], "replicas": 2, "levels": 3, "seed": 9}),
+])
+def test_csv_does_not_depend_on_worker_count(tmp_path, sub, payload):
+    cfg = write_cfg(tmp_path, "c.json", payload)
+    csvs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        assert run([sub, "--config", cfg, "--output", str(out),
+                    "--workers", workers]) == 0
+        csvs.append(read_csv(out / f"{sub}.csv"))
+    assert csvs[0] == csvs[1]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_starved_sim_frog_is_censored(tmp_path, seed):
+    cfg = write_cfg(tmp_path, "c.json", {"dist": DIRAC1, "right_horizon": 512,
+                                         "prune_window": 1, "replicas": 4, "seed": seed})
+    out = tmp_path / "out"
+    assert run(["sim-frog", "--config", cfg, "--output", str(out)]) == 3
+    meta = json.loads((out / "sim-frog_meta.json").read_text())
+    assert meta["stop_reasons"] == ["starved"] * 4 and meta["exit_code"] == 3
+    assert ",0\n" in (out / "sim-frog.csv").read_text()
+
+
+def test_starved_sweep_cell_is_capped(tmp_path):
+    cfg = write_cfg(tmp_path, "c.json",
+                    {"dists": [DIRAC1], "right_horizons": [512], "replicas": 2,
+                     "levels": 5, "seed": 1, "frog": {"prune_window": 1}})
+    out = tmp_path / "out"
+    assert run(["sweep", "--config", cfg, "--output", str(out)]) == 3
+    with open(out / "sweep.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows[0]["capped"] == "1" and rows[0]["error"] == ""

@@ -230,6 +230,19 @@ def test_diagnostic_excludes_unreached_records():
     assert len(rep.labels) == 1
 
 
+def test_excluded_records_do_not_set_the_collapse_floor():
+    # the excluded record's huge first-visit time at the base site would
+    # raise the relative collapse floor above every increment of the
+    # included linear record and flip its label to explosive-like
+    theta = np.arange(257, dtype=float)
+    partial = theta.copy()
+    partial[8] = 1e300
+    partial[200:] = np.nan
+    rep = regime_diagnostic([synth_record(theta), synth_record(partial)])
+    assert rep.excluded == 1
+    assert rep.label == "linear-like"
+
+
 def test_diagnostic_validates_horizon_factorization():
     with pytest.raises(ValueError):
         regime_diagnostic([synth_record(np.arange(100, dtype=float))], levels=5)

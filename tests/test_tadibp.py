@@ -13,8 +13,7 @@ from frogmodel.tadibp import (GrainField, chain_connected, connected_to_horizon,
                               dry_frequency, dry_probability, load_field,
                               no_overshoot_frequency, overshoot_sequence,
                               percolation_sequence, percolation_series,
-                              sample_grain_field, sample_grain_fields,
-                              save_field, wet_mask)
+                              sample_grain_fields, save_field, wet_mask)
 
 
 def brute_force_overshoot(lengths):
@@ -199,7 +198,7 @@ def test_percolation_series_definition_small():
 
 def test_sampled_field_zero_counts_gives_zero_lengths():
     speed = SpeedFunction.power(1.0, horizon=100)
-    psi = sample_grain_field(speed, Dirac(0), 20, substream(4, "f0"), cap=16)
+    psi = sample_grain_fields(speed, Dirac(0), 20, substream(4, "f0"), cap=16)[0]
     assert psi.lengths.sum() == 0
     assert psi.provenance == "sampled-from-reach"
 
