@@ -154,7 +154,7 @@ class Command:
     keys: dict        # config key -> (coercer, default or REQUIRED)
     columns: list     # CSV columns
     build: Callable   # parsed keys -> {name: object built from several keys}
-    runner: Callable  # (parsed, config, outdir, workers) -> (rows, sidecar extras, flagged)
+    runner: Callable  # (parsed, config, outdir, workers) -> (rows iterable, extras, flagged)
     flags: dict = field(default_factory=dict)  # --horizon/--replicas -> config key
 
 
@@ -166,7 +166,7 @@ _FROG_TYPES = {"dist": dist_from_config, "right_horizon": int, "left_mode": str,
                "seed": int, "origin_boost": bool}
 # every FrogConfig field, with FrogConfig's defaults, plus the replica count
 _SIM_FROG_KEYS = {f.name: (_FROG_TYPES[f.name], REQUIRED if f.default is MISSING else f.default)
-                  for f in fields(FrogConfig)} | {"replicas": (int, 1)}
+                  for f in fields(FrogConfig)} | {"replicas": (_at_least(1), 1)}
 
 
 def _run_one_frog(args):
@@ -192,17 +192,19 @@ def _run_sim_tadibp(p, cfg, out, workers):
     fields_ = sample_grain_fields(p["speed"], p["dist"], horizon,
                                   substream(p["seed"], "tadibp"), n_fields=p["fields"],
                                   cap=p["reach_cap"], traj_cap=p["traj_cap"])
-    rows = []
-    for f, psi in enumerate(fields_):
-        y, wet = overshoot_sequence(psi), wet_mask(psi)
-        rows += [{"field": f, "site": site, "psi": int(psi.lengths[site]),
-                  "overshoot": int(y[site]), "wet": int(wet[site]),
-                  "value_saturated": int(psi.value_saturated[site]),
-                  "count_truncated": int(psi.count_truncated[site])}
-                 for site in range(horizon + 1)]
+
+    def rows():  # streamed to the CSV: fields x sites rows never sit in memory at once
+        for f, psi in enumerate(fields_):
+            y, wet = overshoot_sequence(psi), wet_mask(psi)
+            for site in range(horizon + 1):
+                yield {"field": f, "site": site, "psi": int(psi.lengths[site]),
+                       "overshoot": int(y[site]), "wet": int(wet[site]),
+                       "value_saturated": int(psi.value_saturated[site]),
+                       "count_truncated": int(psi.count_truncated[site])}
     extras = {"reach_cap": p["reach_cap"], "traj_cap": p["traj_cap"],
               "censoring_note": f"connectivity statements are horizon-censored at {horizon}"}
-    return rows, extras, any(row["value_saturated"] or row["count_truncated"] for row in rows)
+    return rows(), extras, any(psi.value_saturated.any() or psi.count_truncated.any()
+                               for psi in fields_)
 
 
 def _reach_speed(p: dict, largest_j: int, largest_x: int) -> dict:
@@ -213,6 +215,14 @@ def _reach_speed(p: dict, largest_j: int, largest_x: int) -> dict:
     return {"reach_cap": cap, "speed": _speed(p, largest_x + cap + 1)}
 
 
+def _reach_tail(args):
+    """One MC reach-tail cell on its own substream; picklable for parallel_map."""
+    p, x, j, replicas, key = args
+    return estimate_reach_tail(p["speed"], x, j, p["dist"], replicas,
+                               substream(p["seed"], *key),
+                               cap=p["reach_cap"], traj_cap=p["traj_cap"])
+
+
 def _run_dry_prob(p, cfg, out, workers):
     """Product formula with MC tail inputs vs empirical event frequencies.
 
@@ -220,21 +230,18 @@ def _run_dry_prob(p, cfg, out, workers):
     overgrows past m) and the classical dry event frequency (thresholds
     tighter by one); the two differ and the columns say which is which.
     """
-    speed, dist, seed, cap = p["speed"], p["dist"], p["seed"], p["reach_cap"]
-    n_fields, reach_reps = p["fields"], p["reach_replicas"]
-    fields_ = sample_grain_fields(speed, dist, max(p["sites"]) - 1,
-                                  substream(seed, "fields"), n_fields=n_fields,
+    cap, n_fields, reach_reps = p["reach_cap"], p["fields"], p["reach_replicas"]
+    fields_ = sample_grain_fields(p["speed"], p["dist"], max(p["sites"]) - 1,
+                                  substream(p["seed"], "fields"), n_fields=n_fields,
                                   cap=cap, traj_cap=p["traj_cap"])
     lengths = np.stack([f.lengths for f in fields_])
+    cells = [(p, i, m - i, reach_reps, ("tail", m, i)) for m in p["sites"] for i in range(m)]
+    ests = iter(parallel_map(_reach_tail, cells, workers))
     rows = []
     for m in p["sites"]:
-        r_vals, r_vars = np.empty(m), np.empty(m)
-        for i in range(m):
-            est = estimate_reach_tail(speed, i, m - i, dist, reach_reps,
-                                      substream(seed, "tail", m, i),
-                                      cap=cap, traj_cap=p["traj_cap"])
-            r_vals[i] = est.p
-            r_vars[i] = est.stderr ** 2
+        tails = [next(ests) for _ in range(m)]
+        r_vals = np.array([est.p for est in tails])
+        r_vars = np.array([est.stderr ** 2 for est in tails])
         formula = dry_probability(m, r_vals)
         with np.errstate(divide="ignore"):
             se_formula = formula * math.sqrt(float(
@@ -255,15 +262,11 @@ def _run_dry_prob(p, cfg, out, workers):
 
 
 def _run_ell_tail(p, cfg, out, workers):
-    rows = []
-    for x in p["x"]:
-        for j in p["j"]:
-            est = estimate_reach_tail(p["speed"], x, j, p["dist"], p["replicas"],
-                                      substream(p["seed"], "ell", x, j),
-                                      cap=p["reach_cap"], traj_cap=p["traj_cap"])
-            rows.append({"x": x, "j": j, "p": est.p, "stderr": est.stderr,
-                         "replicas": p["replicas"], "cap": p["reach_cap"],
-                         "truncated_draws": est.truncated_draws})
+    cells = [(p, x, j, p["replicas"], ("ell", x, j)) for x in p["x"] for j in p["j"]]
+    rows = [{"x": est.x, "j": est.j, "p": est.p, "stderr": est.stderr,
+             "replicas": est.replicas, "cap": est.cap,
+             "truncated_draws": est.truncated_draws}
+            for est in parallel_map(_reach_tail, cells, workers)]
     return rows, {}, any(row["truncated_draws"] > 0 for row in rows)
 
 
@@ -323,6 +326,11 @@ def _run_bounds(p, cfg, out, workers):
 
 def _build_sweep(p: dict) -> dict:
     """One validated FrogConfig per (dist, right horizon) cell, in cell order."""
+    dyadic = 1 << p["levels"]
+    for r_hor in p["right_horizons"]:
+        if r_hor < dyadic or r_hor % dyadic:
+            raise ConfigError(f"right_horizons: {r_hor} is not base * 2^levels "
+                              f"(levels = {p['levels']}, base >= 1)")
     cells = []
     for spec in p["dists"]:
         dist = _coerce("dists", dist_from_config, spec)
@@ -380,7 +388,7 @@ def _emit_gnuplot(outdir: Path, curves: dict) -> None:
 
 
 _LAW_KEYS = {"dist": (dist_from_config, REQUIRED), "speed": (_object, REQUIRED)}
-_REACH_KEYS = {**_LAW_KEYS, "traj_cap": (int, 100_000), "seed": (int, 0)}
+_REACH_KEYS = {**_LAW_KEYS, "traj_cap": (_at_least(1), 100_000), "seed": (int, 0)}
 _TAIL_LOWER_KEYS = {"dist": (dist_from_config, REQUIRED),
                     "i_values": (_list_of(_at_least(0), nonempty=False), None),
                     "m_values": (_list_of(int, nonempty=False), [5, 10]),
@@ -394,8 +402,8 @@ COMMANDS = {
         lambda p: {"frog": _frog_config(**{k: p[k] for k in _FROG_TYPES})}, _run_sim_frog,
         {"--horizon": "right_horizon", "--replicas": "replicas"}),
     "sim-tadibp": Command(
-        {**_REACH_KEYS, "horizon": (_at_least(0), REQUIRED), "fields": (int, 1),
-         "reach_cap": (int, 64)},
+        {**_REACH_KEYS, "horizon": (_at_least(0), REQUIRED), "fields": (_at_least(1), 1),
+         "reach_cap": (_at_least(1), 64)},
         ["field", "site", "psi", "overshoot", "wet", "value_saturated",
          "count_truncated"],
         lambda p: {"speed": _speed(p, p["horizon"] + p["reach_cap"])}, _run_sim_tadibp,
@@ -407,7 +415,8 @@ COMMANDS = {
          "dry_freq", "dry_se", "fields", "reach_replicas"],
         lambda p: _reach_speed(p, max(p["sites"]), max(p["sites"])), _run_dry_prob),
     "ell-tail": Command(
-        {**_REACH_KEYS, "x": (_list_of(_at_least(0)), REQUIRED), "j": (_list_of(int), REQUIRED),
+        {**_REACH_KEYS, "x": (_list_of(_at_least(0)), REQUIRED),
+         "j": (_list_of(_at_least(0)), REQUIRED),
          "replicas": (_at_least(1), 100_000), "reach_cap": (int, None)},
         ["x", "j", "p", "stderr", "replicas", "cap", "truncated_draws"],
         lambda p: _reach_speed(p, max(p["j"]), max(p["x"])), _run_ell_tail,
@@ -429,7 +438,7 @@ COMMANDS = {
     "sweep": Command(
         {"dists": (_list_of(_object, nonempty=False), REQUIRED),
          "right_horizons": (_list_of(int, nonempty=False), REQUIRED),
-         "replicas": (int, 10), "levels": (int, 5),
+         "replicas": (_at_least(1), 10), "levels": (_at_least(1), 5),
          "frog": (lambda v: _parse(_object(v), _SWEEP_FROG_KEYS), {}), "seed": (int, 0),
          "emit_gnuplot": (bool, False)},
         ["cell_id", "dist", "right_horizon", "label", "slope", "agreement",
@@ -480,9 +489,9 @@ def run(argv=None) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     rows, extras, flagged = command.runner(p, cfg, outdir, args.workers)
+    _write_csv(outdir / f"{name}.csv", command.columns, rows)
     wall = time.perf_counter() - t0
     code = EXIT_PARTIAL if flagged else EXIT_OK
-    _write_csv(outdir / f"{name}.csv", command.columns, rows)
     sidecar = {"subcommand": name, "version": __version__, "build": _git_describe(),
                "config": cfg, **extras, "exit_code": code, "wall_clock_s": wall}
     with open(outdir / f"{name}_meta.json", "w") as fh:

@@ -216,18 +216,16 @@ def sample_grain_fields(speed: SpeedFunction, dist, horizon: int, rng,
                         traj_cap: int = DEFAULT_TRAJ_CAP) -> list[GrainField]:
     """Independent fields with lengths drawn as the fast-reach statistic.
 
-    Vectorized across fields one site at a time: site x draws its particle
-    counts for every field, then one batched reach evaluation.  Saturation
-    of either the reach cap or the particle-draw clamp is flagged per site.
+    One draw of particle counts for every (site, field) pair, then one
+    batched reach evaluation over all sites.  Saturation of either the
+    reach cap or the particle-draw clamp is flagged per site.
     """
     if horizon + cap > speed.horizon:
         raise ValueError("speed horizon too small: need horizon + cap sites")
-    lengths = np.zeros((n_fields, horizon + 1), dtype=np.int64)
-    truncated = np.zeros((n_fields, horizon + 1), dtype=bool)
-    for x in range(horizon + 1):
-        counts = dist.sample(rng, size=n_fields, clamp=traj_cap)
-        truncated[:, x] = counts >= traj_cap
-        lengths[:, x] = reach_batch(speed, x, counts, rng, cap=cap)
+    counts = dist.sample(rng, size=(horizon + 1) * n_fields,
+                         clamp=traj_cap).reshape(horizon + 1, n_fields)
+    truncated = (counts >= traj_cap).T
+    lengths = reach_batch(speed, 0, counts, rng, cap=cap).T
     return [GrainField(lengths[f], "sampled-from-reach",
                        value_saturated=(lengths[f] >= cap),
                        count_truncated=truncated[f])

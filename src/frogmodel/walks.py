@@ -7,9 +7,25 @@ reciprocal speeds over the sites crossed).  The walk is right-continuous
 and piecewise constant, and the budget constraint is loosest at the left
 end of each constancy interval, so it is enough to test jump epochs.
 
-Budgets beyond a configured cap K are never consulted: a qualifying epoch
-at or past K reports K with a saturation flag ("at least K").  The cap is
-part of the statistic and is reported with every result.
+Budgets beyond a configured cap are never consulted: a qualifying epoch
+at or past the cap reports the cap with a saturation flag ("at least
+cap").  The cap is part of the statistic and is reported with every result.
+
+Being at level s at a time within segment(x, s) means having first hit s
+no later, so with tau_s the first hitting time of level s the statistic is
+reach = max{s <= cap : tau_s <= segment(x, s)}.  The kernel `reach_batch`
+draws the ladder epochs tau_s directly instead of stepping every jump.
+The gaps tau_{s+1} - tau_s are iid: a first passage to +1 of the discrete
+walk takes N = 2K + 1 jumps with P(K >= k) = C(2k, k) / 4^k (reflection
+principle; Feller, An Introduction to Probability Theory and Its
+Applications, Vol. 1, Ch. III), and its duration is Gamma(N, 1), drawn as
+the first jump Exp(1) plus Gamma(2K, 1).  A walker stops once
+tau_s > segment(x, cap) or s = cap, so it costs about sqrt(budget) draws
+instead of about budget jumps, and positions are never tracked.  Walkers
+whose first jump misses the budget are thinned out binomially before any
+is materialized; the rest run in blocks of at most `REACH_BLOCK` walkers,
+which bounds memory for any particle count.  `sample_trajectory` and
+`fast_reach` step every jump and are kept as the test oracle.
 """
 from __future__ import annotations
 
@@ -17,6 +33,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.special import betaln
 
 from .speed import SpeedFunction
 
@@ -78,12 +95,18 @@ class ReachResult:
     cap: int
 
 
-def _segment_table(speed: SpeedFunction, x: int, cap: int) -> np.ndarray:
-    """Crossing budgets segment(x, s) for s = 0..cap."""
+def _check_sites(speed: SpeedFunction, x: int, cap: int, rows: int = 1) -> None:
+    """Sites x..x + rows - 1 need their budgets up to the cap on the table."""
     if x < 0:
         raise ValueError("site must be non-negative")
-    if x + cap > speed.horizon:
-        raise ValueError(f"x + cap = {x + cap} exceeds speed horizon {speed.horizon}")
+    if x + rows - 1 + cap > speed.horizon:
+        raise ValueError(f"x + cap = {x + rows - 1 + cap} exceeds speed horizon "
+                         f"{speed.horizon}")
+
+
+def _segment_table(speed: SpeedFunction, x: int, cap: int) -> np.ndarray:
+    """Crossing budgets segment(x, s) for s = 0..cap."""
+    _check_sites(speed, x, cap)
     return speed.prefix_arr[x:x + cap + 1] - speed.prefix_arr[x]
 
 
@@ -106,44 +129,93 @@ def fast_reach(speed: SpeedFunction, x: int, trajectories: Sequence[Trajectory],
     return ReachResult(min(best, cap), best >= cap, cap)
 
 
+# C(2k, k) / 4^k = P(a first passage to +1 takes more than 2k jumps), k <= 4096
+_K_TABLE_SIZE = 4096
+_K_TAIL = np.cumprod(np.concatenate(([1.0], 1.0 - 0.5 / np.arange(1, _K_TABLE_SIZE + 1))))
+REACH_BLOCK = 1 << 21  # walkers per kernel pass; bounds memory, set by the counts only
+
+
+def _ladder_k(u: np.ndarray) -> np.ndarray:
+    """K = max{k : C(2k, k) / 4^k >= u} for u in (0, 1], as float.
+
+    This inverts P(K >= k) = C(2k, k) / 4^k exactly: P(K = k) = C_k / 2^(2k+1)
+    with C_k the Catalan number, and u <= 1/2 selects K >= 1.  Kershaw's
+    bounds 1/sqrt(pi (k + 0.366)) < C(2k, k) / 4^k < 1/sqrt(pi (k + 1/4))
+    put K at floor(1/(pi u^2)) or one below; the table settles which, and
+    past it betaln does (gammaln differences lose the last bits past
+    k ~ 1e6).  K is never clipped.
+    """
+    k = np.floor(1.0 / (np.pi * u * u))
+    tail = _K_TAIL[np.minimum(k, _K_TABLE_SIZE).astype(np.intp)]
+    deep = np.flatnonzero(k > _K_TABLE_SIZE)
+    if deep.size:
+        tail[deep] = np.exp(betaln(k[deep] + 0.5, 0.5)) / np.pi
+    return k - (tail < u)
+
+
 def reach_batch(speed: SpeedFunction, x: int, counts: np.ndarray, rng,
                 cap: int = DEFAULT_REACH_CAP) -> np.ndarray:
-    """Fast-reach values for many independent replicas at one site.
+    """Fast-reach values for many independent replicas, by ladder epochs.
 
-    counts[r] particles are drawn for replica r; all trajectories run
-    vectorized, each generated exactly until its time exceeds the full
-    budget segment(x, cap), past which no epoch can qualify.  Returns the
-    per-replica reach values (saturation is value == cap).
+    counts[r] particles are drawn for replica r at site x; a 2-d counts
+    holds in row i the replicas of site x + i.  Returns reach values of
+    the same shape (saturation is value == cap).
+
+    A walker whose first jump comes after segment(site, cap) never
+    qualifies, so each count is first thinned to the walkers that jump in
+    time (binomially, exact) and only those are materialized.  They run in
+    consecutive blocks of at most REACH_BLOCK cut from the cumulative
+    thinned counts, so a replica may straddle two blocks.
     """
     counts = np.asarray(counts, dtype=np.int64)
-    seg = _segment_table(speed, x, cap)
-    budget = seg[cap]
-    out = np.zeros(counts.size, dtype=np.int64)
-    total = int(counts.sum())
-    if total == 0:
-        return out
+    rows, width = counts.shape if counts.ndim == 2 else (1, counts.size)
+    _check_sites(speed, x, cap, rows)
+    prefix = speed.prefix_arr
+    sites = x + np.arange(rows)
+    jump_in_time = -np.expm1(prefix[sites] - prefix[sites + cap])
+    flat = rng.binomial(counts.reshape(rows, width), jump_in_time[:, None]).ravel()
+    ends = np.cumsum(flat)
+    total = int(ends[-1]) if flat.size else 0
+    out = np.zeros(flat.size, dtype=np.int64)
+    for lo in range(0, total, REACH_BLOCK):
+        hi = min(lo + REACH_BLOCK, total)
+        first, last = np.searchsorted(ends, [lo, hi - 1], side="right")
+        span = slice(first, last + 1)
+        owner = np.repeat(np.arange(first, last + 1),
+                          np.minimum(ends[span], hi) - np.maximum(ends[span] - flat[span], lo))
+        np.maximum(out[span], _ladder_block(prefix, x, width, owner, rng, cap),
+                   out=out[span])
+    return out.reshape(counts.shape)
 
-    owner = np.repeat(np.arange(counts.size), counts)
-    t = np.zeros(total)
-    pos = np.zeros(total, dtype=np.int64)
-    best = np.zeros(total, dtype=np.int64)
-    alive = np.arange(total)
 
-    while alive.size:
-        n = alive.size
-        t[alive] += rng.standard_exponential(n)
-        pos[alive] += rng.integers(0, 2, size=n) * 2 - 1
-        ta = t[alive]
-        pa = pos[alive]
-        s_idx = np.clip(pa, 0, cap)
-        qual = (pa >= 1) & (ta <= seg[s_idx])
-        if np.any(qual):
-            idx = alive[qual]
-            np.maximum.at(best, idx, s_idx[qual])
-        alive = alive[ta <= budget]
-
-    np.maximum.at(out, owner, best)
-    return out
+def _ladder_block(prefix: np.ndarray, x: int, width: int, owner: np.ndarray,
+                  rng, cap: int) -> np.ndarray:
+    """Reach per replica owner[0]..owner[-1] of one block of walkers whose
+    first jump is within budget; the walkers of replica r start at site
+    x + r // width."""
+    first, last = int(owner[0]), int(owner[-1])
+    best = np.zeros(last - first + 1, dtype=np.int64)
+    site = x + first // width if first // width == last // width else x + owner // width
+    # the clock starts at prefix(site), so t <= end means time <= segment(site, cap);
+    # the first jump is drawn given that it comes within that budget
+    start, end = prefix[site], prefix[site + cap]
+    t = start - np.log1p(rng.random(owner.size) * np.expm1(start - end))
+    for s in range(1, cap + 1):
+        if s > 1:
+            t += rng.standard_exponential(t.size)
+        live = t <= end
+        u = rng.random(t.size)              # u < 1/2: first step down
+        down = np.flatnonzero(live & (u < 0.5))
+        t[down] += rng.standard_gamma(2.0 * _ladder_k(0.5 - u[down]))
+        live &= t <= end
+        owner, t = owner[live], t[live]
+        if np.ndim(site):
+            site, end = site[live], end[live]
+        if not owner.size:
+            break
+        # every live walker has just hit level s, above all it hit before
+        best[owner[t <= prefix[site + s]] - first] = s
+    return best
 
 
 @dataclass(frozen=True)

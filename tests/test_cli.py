@@ -240,6 +240,16 @@ def test_override_flags(tmp_path, capsys, sub, flag):
     ("sweep", {"frog": {"replicaz": 3}}, "frog: unknown config keys: ['replicaz']"),
     ("bounds", {"tail_lower": {"dist": DIRAC1, "replicaz": 5}},
      "tail_lower: unknown config keys: ['replicaz']"),
+    ("sim-frog", {"replicas": 0}, "replicas"),
+    ("sim-frog", {"replicas": -2}, "replicas"),
+    ("ell-tail", {"j": [1, -1]}, "j"),
+    ("sweep", {"replicas": 0}, "replicas"),
+    ("sweep", {"levels": 0}, "levels"),
+    ("sweep", {"right_horizons": [12], "levels": 3}, "right_horizons"),
+    ("sweep", {"right_horizons": [8, 4], "levels": 3}, "right_horizons"),
+    ("sim-tadibp", {"fields": 0}, "fields"),
+    ("sim-tadibp", {"reach_cap": -1}, "reach_cap"),
+    ("ell-tail", {"traj_cap": -3}, "traj_cap"),
 ])
 def test_bad_config_value_exits_2_naming_key(tmp_path, capsys, sub, changes, key):
     cfg = write_cfg(tmp_path, "c.json", {**SMALL[sub], **changes})
@@ -254,6 +264,10 @@ def test_bad_config_value_exits_2_naming_key(tmp_path, capsys, sub, changes, key
                   "replicas": 3, "seed": 9}),
     ("sweep", {"dists": [DIRAC1, {"family": "poisson", "lam": 1.0}],
                "right_horizons": [16, 32], "replicas": 2, "levels": 3, "seed": 9}),
+    ("ell-tail", {"dist": {"family": "poisson", "lam": 2.0}, "speed": CONST2,
+                  "x": [0, 3], "j": [0, 2], "replicas": 500, "seed": 9}),
+    ("dry-prob", {"dist": {"family": "poisson", "lam": 1.0}, "speed": CONST2,
+                  "sites": [2, 4], "fields": 50, "reach_replicas": 200, "seed": 9}),
 ])
 def test_csv_does_not_depend_on_worker_count(tmp_path, sub, payload):
     cfg = write_cfg(tmp_path, "c.json", payload)

@@ -1,13 +1,17 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from frogmodel import walks
 from frogmodel.distributions import Dirac, Poisson
 from frogmodel.rng import substream
 from frogmodel.speed import SpeedFunction
 from frogmodel.walks import (Trajectory, estimate_reach_tail, fast_reach,
                              reach_batch, sample_trajectory)
+
+SIGMAS = 4.5  # two-sample tail comparisons: every |z| below this
 
 
 def brute_force_reach(speed, x, trajectories, cap):
@@ -138,6 +142,90 @@ def test_reach_batch_matches_object_path_in_distribution():
         p2 = np.mean(obj_vals >= k)
         se = math.sqrt(2 * max(p1 * (1 - p1), 1e-6) / n)
         assert abs(p1 - p2) <= 4 * se + 2e-3, k
+
+
+def assert_same_tails(a, b, cap):
+    """Pooled two-proportion z test of P{reach >= k}, k = 1..cap, at SIGMAS."""
+    a, b = np.asarray(a).ravel(), np.asarray(b).ravel()
+    for k in range(1, cap + 1):
+        p1, p2 = np.mean(a >= k), np.mean(b >= k)
+        pooled = (p1 * a.size + p2 * b.size) / (a.size + b.size)
+        se = math.sqrt(pooled * (1 - pooled) * (1 / a.size + 1 / b.size))
+        assert abs(p1 - p2) <= SIGMAS * se, (k, p1, p2)
+
+
+# -- ladder-epoch kernel -----------------------------------------------------------
+
+def central_tail(k: int):
+    """C(2k, k) / 4^k = P{K >= k}, at 40 digits."""
+    with mpmath.workdps(40):
+        return mpmath.gamma(k + mpmath.mpf(0.5)) / (mpmath.sqrt(mpmath.pi)
+                                                    * mpmath.gamma(k + 1))
+
+
+def test_ladder_k_pmf_is_catalan():
+    n = 4_000_000
+    k = walks._ladder_k(1.0 - substream(20, "k").random(n))
+    for j in range(31):
+        p = math.comb(2 * j, j) / (j + 1) / 2 ** (2 * j + 1)
+        hits = np.count_nonzero(k == j)
+        assert abs(hits - n * p) <= 5 * math.sqrt(n * p * (1 - p)), j
+
+
+def test_ladder_k_deep_tail_inverts_exactly():
+    edge = float(central_tail(walks._K_TABLE_SIZE))
+    u = np.concatenate((edge * np.array([0.999, 0.9, 0.5, 0.1]),
+                        np.geomspace(1e-3, 1e-7, 9), [3.3e-8]))
+    for ui, k in zip(u, walks._ladder_k(u)):
+        k = int(k)
+        assert k >= walks._K_TABLE_SIZE
+        assert central_tail(k) >= ui > central_tail(k + 1), (ui, k)
+
+
+def oracle_reach(speed, x, counts, g, cap):
+    budget = speed.segment(x, cap)
+    return np.array([
+        fast_reach(speed, x, [sample_trajectory(g, max_time=budget) for _ in range(c)],
+                   cap=cap).value
+        for c in counts])
+
+
+@pytest.mark.parametrize("speed,x,cap,dist,n_oracle", [
+    (SpeedFunction.constant(1.0, horizon=200), 0, 120, Dirac(1), 8_000),
+    (SpeedFunction.power(1.0, horizon=100), 2, 12, Poisson(2.0), 40_000),
+    (SpeedFunction.log_increment(horizon=100), 0, 30, Dirac(1), 40_000),
+])
+def test_ladder_kernel_matches_stepping_oracle(speed, x, cap, dist, n_oracle):
+    g = substream(21, speed.family)
+    kernel = reach_batch(speed, x, dist.sample(g, size=200_000), g, cap=cap)
+    g2 = substream(22, speed.family)
+    oracle = oracle_reach(speed, x, dist.sample(g2, size=n_oracle), g2, cap)
+    assert_same_tails(kernel, oracle, cap)
+
+
+def test_reach_batch_2d_counts_match_per_site_calls():
+    speed = SpeedFunction.power(1.0, horizon=100)
+    g = substream(23, "2d")
+    counts = Poisson(1.5).sample(g, size=(5, 40_000))
+    counts[3] = 0
+    batched = reach_batch(speed, 2, counts, g, cap=12)
+    assert batched.shape == counts.shape and not batched[3].any()
+    for i in (0, 1, 2, 4):
+        g2 = substream(24, "site", i)
+        single = reach_batch(speed, 2 + i, Poisson(1.5).sample(g2, size=40_000), g2, cap=12)
+        assert_same_tails(batched[i], single, 12)
+
+
+def test_reach_batch_block_split_matches_unsplit(monkeypatch):
+    # replicas of 250 walkers on average straddle blocks of 1000, and
+    # some blocks straddle two sites
+    speed = SpeedFunction.constant(1.0, horizon=100)
+    counts = Poisson(250.0).sample(substream(25, "c"), size=(3, 2_000))
+    whole = reach_batch(speed, 0, counts, substream(26, "whole"), cap=20)
+    monkeypatch.setattr(walks, "REACH_BLOCK", 1000)
+    split = reach_batch(speed, 0, counts, substream(27, "split"), cap=20)
+    for i in range(3):
+        assert_same_tails(whole[i], split[i], 20)
 
 
 # -- tail estimation ---------------------------------------------------------------
