@@ -28,7 +28,7 @@ from . import __version__
 from .bounds import verify_reach_tail_lower, verify_sandwich
 from .conditions import (check_explosion, check_nonexplosion, check_speed_series,
                          shift_speed)
-from .distributions import dist_from_config
+from .distributions import EXACT_COUNT_LIMIT, dist_from_config
 from .frogsim import FrogConfig, regime_diagnostic, simulate
 from .rng import parallel_map, substream
 from .speed import SpeedFunction
@@ -120,10 +120,12 @@ def _object(value) -> dict:
     return value
 
 
-def _at_least(lo: int) -> Callable:
+def _at_least(lo: int, at_most: float = math.inf) -> Callable:
     def coerce(value) -> int:
         if int(value) < lo:
             raise ValueError(f"must be >= {lo}, got {value!r}")
+        if int(value) > at_most:
+            raise ValueError(f"must be <= {at_most}, got {value!r}")
         return int(value)
     return coerce
 
@@ -388,7 +390,9 @@ def _emit_gnuplot(outdir: Path, curves: dict) -> None:
 
 
 _LAW_KEYS = {"dist": (dist_from_config, REQUIRED), "speed": (_object, REQUIRED)}
-_REACH_KEYS = {**_LAW_KEYS, "traj_cap": (_at_least(1), 100_000), "seed": (int, 0)}
+# traj_cap clamps vector count draws, which stay exact only up to 2^53
+_REACH_KEYS = {**_LAW_KEYS, "traj_cap": (_at_least(1, EXACT_COUNT_LIMIT), 100_000),
+               "seed": (int, 0)}
 _TAIL_LOWER_KEYS = {"dist": (dist_from_config, REQUIRED),
                     "i_values": (_list_of(_at_least(0), nonempty=False), None),
                     "m_values": (_list_of(int, nonempty=False), [5, 10]),

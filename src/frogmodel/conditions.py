@@ -212,32 +212,28 @@ def shift_speed(dist: InitialDistribution, speed: SpeedFunction) -> SpeedFunctio
                      "below it inside the horizon; cannot shift")
 
 
+def _power_tails(dist: InitialDistribution, shifted: SpeedFunction,
+                 rho: float, idx: np.ndarray):
+    """For each m in idx, the tails P{count >= A(m)^{rho i}}, i = 1..m."""
+    for m in idx:
+        log_a = math.log(shifted.value(int(m)))
+        i = np.arange(1, int(m) + 1, dtype=float)
+        yield np.asarray(dist.tail_at_log(rho * i * log_a), dtype=float)
+
+
 def explosion_product_terms(dist: InitialDistribution, shifted: SpeedFunction,
                             rho: float, idx: np.ndarray) -> np.ndarray:
     """Product terms prod_{i=1..m} P{count <= A(m)^{rho i}} in log space."""
-    out = np.empty(idx.size, dtype=float)
-    for pos, m in enumerate(idx):
-        log_a = math.log(shifted.value(int(m)))
-        i = np.arange(1, int(m) + 1, dtype=float)
-        tails = np.asarray(dist.tail_at_log(rho * i * log_a), dtype=float)
-        if np.any(tails >= 1.0):
-            out[pos] = 0.0
-        else:
-            out[pos] = math.exp(np.log1p(-tails).sum())
-    return out
+    return np.array([0.0 if np.any(t >= 1.0) else math.exp(np.log1p(-t).sum())
+                     for t in _power_tails(dist, shifted, rho, idx)], dtype=float)
 
 
 def corollary_surrogate_terms(dist: InitialDistribution, shifted: SpeedFunction,
                               rho: float, idx: np.ndarray) -> np.ndarray:
     """Surrogate terms exp{-sum_i P{count > A(m)^{rho i}}} (the 1-a <= e^-a
     relaxation of the product form)."""
-    out = np.empty(idx.size, dtype=float)
-    for pos, m in enumerate(idx):
-        log_a = math.log(shifted.value(int(m)))
-        i = np.arange(1, int(m) + 1, dtype=float)
-        tails = np.asarray(dist.tail_at_log(rho * i * log_a), dtype=float)
-        out[pos] = math.exp(-tails.sum())
-    return out
+    return np.array([math.exp(-t.sum()) for t in _power_tails(dist, shifted, rho, idx)],
+                    dtype=float)
 
 
 def check_explosion(dist: InitialDistribution, speed: SpeedFunction, rho: float,

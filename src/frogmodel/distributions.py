@@ -23,12 +23,11 @@ from typing import Optional
 
 import mpmath
 import numpy as np
-from scipy.special import gammainc, gammaln
+from scipy.special import gammainc
 
-NEG_INF = float("-inf")
-
-# largest float with exact integer resolution; counts beyond it are carried
+# largest count with exact float resolution; counts beyond it are carried
 # in log space by sample_counts_log
+EXACT_COUNT_LIMIT = 1 << 53
 _EXACT_FLOAT_LIMIT_LOG = 53 * math.log(2.0)
 
 
@@ -45,8 +44,7 @@ def floor_exp_exact(x: float) -> int:
 
 def _ylogy(y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
-    out = np.where(y > 1.0, y * np.log(np.maximum(y, 1.0)), 0.0)
-    return out
+    return np.where(y > 1.0, y * np.log(np.maximum(y, 1.0)), 0.0)
 
 
 def _ylogy_inverse(ell) -> np.ndarray:
@@ -75,7 +73,12 @@ class CountBatch:
 
 
 class InitialDistribution:
-    """Common surface for all count laws; subclasses fill in the family."""
+    """Common surface for all count laws; subclasses fill in the family.
+
+    The lattice families (Dirac, Poisson, geometric, table) use the default
+    `sample`, which clamps the family's `_draw`, and the default
+    `tail_at_log`, which snaps e^ell to integers; `_FloorExp` overrides both.
+    """
 
     name = "?"
 
@@ -85,19 +88,8 @@ class InitialDistribution:
         """P{count >= x} for real x >= 0 (vectorized)."""
         raise NotImplementedError
 
-    def tail_at_log(self, ell):
-        """P{count >= e^ell} without materializing e^ell; ell may be -inf."""
-        raise NotImplementedError
-
-    def sample(self, rng, size: Optional[int] = None, clamp: Optional[int] = None):
-        """Draw counts with this law.
-
-        Scalar draws are exact (arbitrary-precision floors for the
-        heavy-tailed families).  Vector draws return int64 and saturate at
-        `clamp`, which the heavy-tailed families require since their counts
-        routinely exceed int64; min(count, clamp) keeps the exact clamped
-        law.
-        """
+    def _draw(self, rng, size):
+        """Unclamped counts: an int (size None) or an int64 array."""
         raise NotImplementedError
 
     def mean(self) -> float:
@@ -112,6 +104,26 @@ class InitialDistribution:
 
     # -- shared helpers ------------------------------------------------------
 
+    def tail_at_log(self, ell):
+        """P{count >= e^ell} without materializing e^ell; ell may be -inf.
+        ell is clipped to [-700, 700]: e^ell stays a positive float below one
+        (count >= 1), and every lattice tail is 0 above."""
+        ell = np.asarray(ell, dtype=float)
+        x = np.where(np.isneginf(ell), 0.0,
+                     _snap_integer(np.exp(np.clip(ell, -700.0, 700.0))))
+        return _scalarize(ell, self.tail(x))
+
+    def sample(self, rng, size: Optional[int] = None, clamp: Optional[int] = None):
+        """Draw counts: an exact int for size None (arbitrary-precision floors
+        for the heavy-tailed families), else int64 saturating at `clamp`, which
+        keeps the exact clamped law min(count, clamp); the heavy-tailed
+        families require a clamp, since their counts routinely exceed int64."""
+        draw = self._draw(rng, size)
+        if size is None:
+            return int(draw) if clamp is None else min(int(draw), int(clamp))
+        draw = np.asarray(draw, dtype=np.int64)
+        return draw if clamp is None else np.minimum(draw, clamp)
+
     def pmf(self, k) -> np.ndarray:
         """P{count = k} at integer k, via the exact integer-threshold tails."""
         k = np.asarray(k, dtype=float)
@@ -124,7 +136,8 @@ class InitialDistribution:
         return 1.0 - self.tail(np.floor(x) + 1.0)
 
     def sample_counts_log(self, rng, size: int) -> CountBatch:
-        counts = np.asarray(self.sample(rng, size=size, clamp=(1 << 53)), dtype=float)
+        counts = np.asarray(self.sample(rng, size=size, clamp=EXACT_COUNT_LIMIT),
+                            dtype=float)
         with np.errstate(divide="ignore"):
             logs = np.log(counts)
         return CountBatch(counts, logs)
@@ -137,11 +150,11 @@ def _scalarize(x, out):
 
 def _snap_integer(x: np.ndarray) -> np.ndarray:
     """Round thresholds that are within a few ulps of an integer, so that
-    exp(log(k)) round-trips do not shift an integer-valued count boundary."""
+    exp(log(k)) round-trips do not shift an integer-valued count boundary.
+    The tolerance is relative, so tiny positive thresholds stay above 0."""
     x = np.asarray(x, dtype=float)
     r = np.round(x)
-    return np.where(np.abs(x - r) <= 32 * np.finfo(float).eps * np.maximum(np.abs(x), 1.0),
-                    r, x)
+    return np.where(np.abs(x - r) <= 32 * np.finfo(float).eps * np.abs(x), r, x)
 
 
 class Dirac(InitialDistribution):
@@ -157,16 +170,14 @@ class Dirac(InitialDistribution):
         return _scalarize(x, np.where(x <= self.k, 1.0, 0.0))
 
     def tail_at_log(self, ell):
+        # exact log-space comparison: snapping e^ell moves ulp-scale boundaries
         ell = np.asarray(ell, dtype=float)
         if self.k == 0:
             return _scalarize(ell, np.where(np.isneginf(ell), 1.0, 0.0))
         return _scalarize(ell, np.where(ell <= math.log(self.k), 1.0, 0.0))
 
-    def sample(self, rng, size=None, clamp=None):
-        val = self.k if clamp is None else min(self.k, int(clamp))
-        if size is None:
-            return val
-        return np.full(size, val, dtype=np.int64)
+    def _draw(self, rng, size):
+        return self.k if size is None else np.full(size, self.k, dtype=np.int64)
 
     def mean(self):
         return float(self.k)
@@ -192,18 +203,8 @@ class Poisson(InitialDistribution):
         # P{N >= k} is the regularized lower incomplete gamma P(k, lam)
         return _scalarize(x, np.where(k <= 0, 1.0, gammainc(np.maximum(k, 1.0), self.lam)))
 
-    def tail_at_log(self, ell):
-        ell = np.asarray(ell, dtype=float)
-        small = ell <= 700.0
-        thresh = _snap_integer(np.exp(np.minimum(ell, 700.0)))
-        vals = np.where(small, self.tail(np.where(small, thresh, 0.0)), 0.0)
-        return _scalarize(ell, vals)
-
-    def sample(self, rng, size=None, clamp=None):
-        draw = rng.poisson(self.lam, size=size)
-        if clamp is not None:
-            draw = np.minimum(draw, clamp) if size is not None else min(int(draw), int(clamp))
-        return draw if size is not None else int(draw)
+    def _draw(self, rng, size):
+        return rng.poisson(self.lam, size=size)
 
     def mean(self):
         return self.lam
@@ -233,20 +234,8 @@ class Geometric(InitialDistribution):
             logq = math.log1p(-self.p) if self.p < 1 else -np.inf
         return _scalarize(x, np.where(k <= 0, 1.0, np.exp(k * logq)))
 
-    def tail_at_log(self, ell):
-        ell = np.asarray(ell, dtype=float)
-        small = ell <= 700.0
-        vals = np.where(small,
-                        self.tail(_snap_integer(np.exp(np.minimum(ell, 700.0)))),
-                        0.0)
-        vals = np.where(np.isneginf(ell), 1.0, vals)
-        return _scalarize(ell, vals)
-
-    def sample(self, rng, size=None, clamp=None):
-        draw = rng.geometric(self.p, size=size) - 1
-        if clamp is not None:
-            draw = np.minimum(draw, clamp) if size is not None else min(int(draw), int(clamp))
-        return draw if size is not None else int(draw)
+    def _draw(self, rng, size):
+        return rng.geometric(self.p, size=size) - 1
 
     def mean(self):
         return (1.0 - self.p) / self.p
@@ -260,112 +249,33 @@ class Geometric(InitialDistribution):
         return {"family": "geometric", "p": self.p}
 
 
-class LogPareto(InitialDistribution):
-    """Counts floor(e^X) with P{X >= t} = t^(-a) for t >= 1 (so counts >= 2)."""
+class _FloorExp(InitialDistribution):
+    """Counts floor(e^G) for a latent log G >= 0; a family supplies the draw
+    and quantile of G and `tail_at_log` (the tail at x is the tail at ln x)."""
 
-    name = "logpareto"
+    def _latent_log(self, rng, size):
+        raise NotImplementedError
 
-    def __init__(self, a: float):
-        if a <= 0:
-            raise ValueError("tail exponent must be positive")
-        self.a = float(a)
-
-    def tail(self, x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lx = np.log(np.maximum(x, 1e-300))
-            vals = np.where(lx <= 1.0, 1.0, lx ** (-self.a))
-        return _scalarize(x, vals)
-
-    def tail_at_log(self, ell):
-        ell = np.asarray(ell, dtype=float)
-        with np.errstate(invalid="ignore"):
-            vals = np.where(ell <= 1.0, 1.0,
-                            np.maximum(ell, 1.0) ** (-self.a))
-        return _scalarize(ell, vals)
-
-    def _latent(self, rng, size):
-        u = rng.random(size)
-        return u ** (-1.0 / self.a)
-
-    def sample(self, rng, size=None, clamp=None):
-        if size is None:
-            x = float(self._latent(rng, None))
-            if clamp is not None:
-                return int(clamp) if x >= math.log(clamp) else min(floor_exp_exact(x), int(clamp))
-            return floor_exp_exact(x)
-        if clamp is None:
-            raise ValueError("vector draws from a heavy-tailed law need a clamp "
-                             "(counts routinely exceed int64)")
-        x = self._latent(rng, size)
-        log_clamp = math.log(clamp)
-        out = np.full(size, int(clamp), dtype=np.int64)
-        small = x < log_clamp
-        out[small] = np.floor(np.exp(x[small])).astype(np.int64)
-        np.minimum(out, int(clamp), out=out)
-        return out
-
-    def sample_counts_log(self, rng, size):
-        x = self._latent(rng, size)
-        counts = np.where(x <= _EXACT_FLOAT_LIMIT_LOG,
-                          np.floor(np.exp(np.minimum(x, _EXACT_FLOAT_LIMIT_LOG))),
-                          np.inf)
-        logs = np.where(np.isfinite(counts), np.log(np.maximum(counts, 1.0)), x)
-        return CountBatch(counts, logs)
-
-    def mean(self):
-        return math.inf
-
-    def quantile(self, q):
-        xq = (1.0 - q) ** (-1.0 / self.a)
-        return math.inf if xq > _EXACT_FLOAT_LIMIT_LOG else float(floor_exp_exact(xq))
-
-    def describe(self):
-        return {"family": "logpareto", "a": self.a}
-
-
-class YLogY(InitialDistribution):
-    """Counts floor(e^{Y ln Y}) for exponential Y, with y ln y = 0 on [0, 1]."""
-
-    name = "ylogy"
-
-    def __init__(self, rate: float = 1.0):
-        if rate <= 0:
-            raise ValueError("exponential rate must be positive")
-        self.rate = float(rate)
+    def _latent_quantile(self, q: float) -> float:
+        raise NotImplementedError
 
     def tail(self, x):
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore"):
-            lx = np.log(np.maximum(x, 1e-300))
-        return _scalarize(x, self.tail_at_log(np.where(x <= 0, NEG_INF, lx)))
-
-    def tail_at_log(self, ell):
-        ell_arr = np.atleast_1d(np.asarray(ell, dtype=float))
-        out = np.ones_like(ell_arr)
-        pos = ell_arr > 0
-        if np.any(pos):
-            roots = _ylogy_inverse(ell_arr[pos])
-            out[pos] = np.exp(-self.rate * roots)
-        return _scalarize(ell, out if np.ndim(ell) else out[0])
-
-    def _latent_log(self, rng, size):
-        y = rng.exponential(scale=1.0 / self.rate, size=size)
-        return _ylogy(y)
+            return _scalarize(x, self.tail_at_log(np.log(np.maximum(x, 0.0))))
 
     def sample(self, rng, size=None, clamp=None):
         if size is None:
             g = float(self._latent_log(rng, None))
-            if clamp is not None:
-                return int(clamp) if g >= math.log(clamp) else min(floor_exp_exact(g), int(clamp))
-            return floor_exp_exact(g)
+            if clamp is None:
+                return floor_exp_exact(g)
+            return int(clamp) if g >= math.log(clamp) else min(floor_exp_exact(g), int(clamp))
         if clamp is None:
             raise ValueError("vector draws from a heavy-tailed law need a clamp "
                              "(counts routinely exceed int64)")
         g = self._latent_log(rng, size)
-        log_clamp = math.log(clamp)
         out = np.full(size, int(clamp), dtype=np.int64)
-        small = g < log_clamp
+        small = g < math.log(clamp)
         out[small] = np.floor(np.exp(g[small])).astype(np.int64)
         np.minimum(out, int(clamp), out=out)
         return out
@@ -382,9 +292,63 @@ class YLogY(InitialDistribution):
         return math.inf
 
     def quantile(self, q):
-        yq = -math.log1p(-q) / self.rate
-        g = yq * math.log(yq) if yq > 1 else 0.0
+        g = self._latent_quantile(q)
         return math.inf if g > _EXACT_FLOAT_LIMIT_LOG else float(floor_exp_exact(g))
+
+
+class LogPareto(_FloorExp):
+    """Counts floor(e^X) with P{X >= t} = t^(-a) for t >= 1 (so counts >= 2)."""
+
+    name = "logpareto"
+
+    def __init__(self, a: float):
+        if a <= 0:
+            raise ValueError("tail exponent must be positive")
+        self.a = float(a)
+
+    def tail_at_log(self, ell):
+        ell = np.asarray(ell, dtype=float)
+        with np.errstate(invalid="ignore"):
+            vals = np.where(ell <= 1.0, 1.0, np.maximum(ell, 1.0) ** (-self.a))
+        return _scalarize(ell, vals)
+
+    def _latent_log(self, rng, size):
+        u = rng.random(size)
+        return u ** (-1.0 / self.a)
+
+    def _latent_quantile(self, q):
+        return (1.0 - q) ** (-1.0 / self.a)
+
+    def describe(self):
+        return {"family": "logpareto", "a": self.a}
+
+
+class YLogY(_FloorExp):
+    """Counts floor(e^{Y ln Y}) for exponential Y, with y ln y = 0 on [0, 1]."""
+
+    name = "ylogy"
+
+    def __init__(self, rate: float = 1.0):
+        if rate <= 0:
+            raise ValueError("exponential rate must be positive")
+        self.rate = float(rate)
+
+    def tail_at_log(self, ell):
+        ell_arr = np.atleast_1d(np.asarray(ell, dtype=float))
+        out = np.ones_like(ell_arr)
+        pos = ell_arr > 0
+        if np.any(pos):
+            roots = _ylogy_inverse(ell_arr[pos])
+            out[pos] = np.exp(-self.rate * roots)
+        return _scalarize(ell, out if np.ndim(ell) else out[0])
+
+    def _latent_log(self, rng, size):
+        y = rng.exponential(scale=1.0 / self.rate, size=size)
+        return _ylogy(y)
+
+    def _latent_quantile(self, q):
+        yq = -math.log1p(-q) / self.rate
+        return yq * math.log(yq) if yq > 1 else 0.0
 
     def describe(self):
         return {"family": "ylogy", "rate": self.rate}
@@ -411,20 +375,8 @@ class TablePMF(InitialDistribution):
         k = np.clip(np.ceil(x), 0, self.pmf_arr.size).astype(np.int64)
         return _scalarize(x, self.tail_arr[k])
 
-    def tail_at_log(self, ell):
-        ell = np.asarray(ell, dtype=float)
-        small = ell <= 700.0
-        vals = np.where(small,
-                        self.tail(_snap_integer(np.exp(np.minimum(ell, 700.0)))),
-                        0.0)
-        vals = np.where(np.isneginf(ell), 1.0, vals)
-        return _scalarize(ell, vals)
-
-    def sample(self, rng, size=None, clamp=None):
-        draw = rng.choice(self.pmf_arr.size, size=size, p=self.pmf_arr)
-        if clamp is not None:
-            draw = np.minimum(draw, clamp) if size is not None else min(int(draw), int(clamp))
-        return draw.astype(np.int64) if size is not None else int(draw)
+    def _draw(self, rng, size):
+        return rng.choice(self.pmf_arr.size, size=size, p=self.pmf_arr)
 
     def mean(self):
         return float(np.dot(self.pmf_arr, np.arange(self.pmf_arr.size)))

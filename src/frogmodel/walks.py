@@ -230,10 +230,6 @@ class TailEstimate:
     cap: int
     truncated_draws: int    # replicas whose particle count hit the draw clamp
 
-    def __iter__(self):  # allows p, se = estimate
-        yield self.p
-        yield self.stderr
-
 
 def binomial_stderr(p_hat: float, n: int) -> float:
     """Binomial stderr with a 1/n floor so 3-sigma margins stay meaningful

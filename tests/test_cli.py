@@ -250,6 +250,9 @@ def test_override_flags(tmp_path, capsys, sub, flag):
     ("sim-tadibp", {"fields": 0}, "fields"),
     ("sim-tadibp", {"reach_cap": -1}, "reach_cap"),
     ("ell-tail", {"traj_cap": -3}, "traj_cap"),
+    ("ell-tail", {"traj_cap": 10 ** 19}, "traj_cap"),
+    ("dry-prob", {"traj_cap": 2 ** 53 + 1}, "traj_cap"),
+    ("sim-tadibp", {"traj_cap": 10 ** 19}, "traj_cap"),
 ])
 def test_bad_config_value_exits_2_naming_key(tmp_path, capsys, sub, changes, key):
     cfg = write_cfg(tmp_path, "c.json", {**SMALL[sub], **changes})

@@ -5,8 +5,9 @@ import pytest
 
 from frogmodel.conditions import (VERDICT_CONV, VERDICT_DIV, VERDICT_OPEN,
                                   check_explosion, check_nonexplosion,
-                                  check_speed_series, diagnose_series,
-                                  explosion_product_terms, shift_speed)
+                                  check_speed_series, corollary_surrogate_terms,
+                                  diagnose_series, explosion_product_terms,
+                                  shift_speed)
 from frogmodel.distributions import Dirac, LogPareto, Poisson, YLogY
 from frogmodel.speed import SpeedFunction
 
@@ -97,6 +98,18 @@ def test_product_terms_monotone_in_rho():
     t1 = explosion_product_terms(LogPareto(0.5), speed, 1.5, idx)
     t2 = explosion_product_terms(LogPareto(0.5), speed, 2.5, idx)
     assert np.all(np.cumsum(t1) <= np.cumsum(t2) + 1e-15)
+
+
+@pytest.mark.parametrize("dist", [LogPareto(0.5), YLogY(1.0)])
+def test_surrogate_dominates_product_termwise(dist):
+    # each factor obeys 1 - a <= e^-a, so the surrogate bounds every product term
+    speed = shift_speed(dist, SpeedFunction.power(2.0, horizon=4096))
+    idx = np.arange(1, 257)
+    product = explosion_product_terms(dist, speed, 2.0, idx)
+    surrogate = corollary_surrogate_terms(dist, speed, 2.0, idx)
+    assert np.all(product > 0.0)
+    assert np.all(surrogate >= product)
+    assert np.any(surrogate > product)
 
 
 def test_shift_speed_examples():

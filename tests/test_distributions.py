@@ -51,6 +51,9 @@ def test_tail_vs_tail_at_log_consistency():
     for d in all_families():
         for x in [1.0, 2.0, 5.0, 10.0]:
             assert abs(d.tail(x) - d.tail_at_log(math.log(x))) <= 1e-9, d.name
+        # thresholds in (0, 1) still ask for count >= 1, however small
+        for ell in [-40.0, -800.0]:
+            assert d.tail_at_log(ell) == d.tail(1.0), (d.name, ell)
         assert d.tail(0.0) == 1.0
 
 
