@@ -3,9 +3,8 @@
 
 Runs the frog simulation at a dyadic horizon for both count laws, applies
 the dyadic-slope diagnostic, and prints per-law label tallies.  Heavy-tail
-cells run with front-window pruning and the cohort cap enabled (labeled
-biased speedups that can only delay activations, so explosive-like labels
-stay conservative).
+cells run with the cohort cap enabled (a labeled biased speedup that can
+only delay activations, so explosive-like labels stay conservative).
 """
 import argparse
 from collections import Counter
@@ -43,7 +42,7 @@ def main():
     run_cell("log-pareto",
              lambda s: FrogConfig(dist=LogPareto(args.pareto_a),
                                   right_horizon=args.horizon, seed=s,
-                                  prune_window=64, cohort_cap=64),
+                                  cohort_cap=64),
              args.replicas, args.seed)
     print("labels are finite-size diagnostics, not proofs")
 

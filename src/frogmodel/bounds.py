@@ -9,14 +9,17 @@ where the raw factorials and powers overflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.special import gammainc, gammaln
 
 from .speed import SpeedFunction
 from .walks import binomial_stderr, estimate_reach_tail
+
+# the MC comparisons cap the reach at their threshold + CAP_MARGIN
+CAP_MARGIN = 40
 
 
 def poisson_tail(n: int, lam: float) -> float:
@@ -141,10 +144,7 @@ class ChainBound:
     """Truncated Poisson-tail chain dominating the single-walk reach."""
 
     value: float
-    terms_used: int
     last_term: float
-    remainder_estimate: float      # geometric extrapolation of the cut tail
-    unit_constant_form: float      # exp(-seg) seg^j / j!, the shape without a constant
     inconclusive: bool             # term ratios stayed at or above one
     truncated: bool                # stopped by the term cap or the horizon
 
@@ -163,9 +163,7 @@ def reach_upper_chain(i: int, j: int, speed: SpeedFunction,
     if j < 1:
         raise ValueError("need j >= 1")
     total = 0.0
-    last = 0.0
     prev = None
-    last_ratio = None
     ratios_bad = 0
     n = j
     terms = 0
@@ -179,22 +177,15 @@ def reach_upper_chain(i: int, j: int, speed: SpeedFunction,
         total += term
         terms += 1
         if prev is not None and prev > 0:
-            last_ratio = term / prev
-            ratios_bad = ratios_bad + 1 if last_ratio >= 1.0 else 0
+            ratios_bad = ratios_bad + 1 if term >= prev else 0
         prev = term
-        last = term
         if term < term_floor:
             break
         if terms >= max_terms:
             truncated = True
             break
         n += 1
-    inconclusive = ratios_bad >= 20
-    r = min(0.99, last_ratio) if last_ratio and not inconclusive else 0.5
-    remainder = last * r / (1.0 - r) if not truncated else float("nan")
-    seg_j = speed.segment(i, j)
-    unit_form = math.exp(-seg_j + j * math.log(seg_j) - gammaln(j + 1)) if seg_j > 0 else 0.0
-    return ChainBound(total, terms, last, remainder, unit_form, inconclusive, truncated)
+    return ChainBound(total, 0.0 if prev is None else prev, ratios_bad >= 20, truncated)
 
 
 def geometric_tail_constant(alphas: Sequence[float], r: float, n: int) -> float:
@@ -252,7 +243,7 @@ class BoundCheck:
 
 
 def verify_sandwich(speed: SpeedFunction, i_values, j_values, walks_per_cell: int,
-                    rng, sigmas: float = 3.0, cap_margin: int = 40) -> list[BoundCheck]:
+                    rng, sigmas: float = 3.0, cap_margin: int = CAP_MARGIN) -> list[BoundCheck]:
     """Lower bound <= MC reach probability <= Poisson chain, per grid cell.
 
     The MC statistic is the single-walk reach tail P{reach >= j} estimated
@@ -280,7 +271,7 @@ def verify_sandwich(speed: SpeedFunction, i_values, j_values, walks_per_cell: in
 
 def verify_reach_tail_lower(dist, speed: SpeedFunction, i_values, m_values,
                             replicas: int, rng, sigmas: float = 3.0,
-                            cap_margin: int = 40) -> list[BoundCheck]:
+                            cap_margin: int = CAP_MARGIN) -> list[BoundCheck]:
     """MC estimate of P{reach from m-i exceeds i} against its closed lower bound."""
     checks = []
     for m in m_values:

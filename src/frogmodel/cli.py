@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .bounds import verify_reach_tail_lower, verify_sandwich
+from .bounds import CAP_MARGIN, verify_reach_tail_lower, verify_sandwich
 from .conditions import (check_explosion, check_nonexplosion, check_speed_series,
                          shift_speed)
 from .distributions import EXACT_COUNT_LIMIT, dist_from_config
@@ -164,8 +164,8 @@ class Command:
 
 _FROG_TYPES = {"dist": dist_from_config, "right_horizon": int, "left_mode": str,
                "left_horizon": int, "particle_cap": int, "time_cap": float,
-               "event_cap": int, "prune_window": int, "cohort_cap": int,
-               "seed": int, "origin_boost": bool}
+               "event_cap": int, "cohort_cap": int, "seed": int,
+               "origin_boost": bool}
 # every FrogConfig field, with FrogConfig's defaults, plus the replica count
 _SIM_FROG_KEYS = {f.name: (_FROG_TYPES[f.name], REQUIRED if f.default is MISSING else f.default)
                   for f in fields(FrogConfig)} | {"replicas": (_at_least(1), 1)}
@@ -307,7 +307,10 @@ def _run_check_conditions(p, cfg, out, workers):
 
 
 def _build_bounds(p: dict) -> dict:
-    speed = _speed(p, max(p["i_values"]) + max(p["j_values"]) + 256)
+    # a tail_lower cell at m reaches up to site m + CAP_MARGIN
+    m_top = max(p["tail_lower"]["m_values"], default=0) if p["tail_lower"] else 0
+    speed = _speed(p, max(max(p["i_values"]) + max(p["j_values"]) + 256,
+                          m_top + CAP_MARGIN))
     if speed.value(1) <= 1.0:
         raise ConfigError("speed: the bounds need A > 1 everywhere")
     return {"speed": speed}
@@ -395,7 +398,7 @@ _REACH_KEYS = {**_LAW_KEYS, "traj_cap": (_at_least(1, EXACT_COUNT_LIMIT), 100_00
                "seed": (int, 0)}
 _TAIL_LOWER_KEYS = {"dist": (dist_from_config, REQUIRED),
                     "i_values": (_list_of(_at_least(0), nonempty=False), None),
-                    "m_values": (_list_of(int, nonempty=False), [5, 10]),
+                    "m_values": (_list_of(_at_least(0), nonempty=False), [5, 10]),
                     "replicas": (_at_least(1), 10_000)}
 _SWEEP_FROG_KEYS = {k: v for k, v in _SIM_FROG_KEYS.items()
                     if k not in ("dist", "right_horizon", "seed", "replicas")}

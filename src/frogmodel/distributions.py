@@ -17,6 +17,7 @@ Conventions, fixed here and relied on by the tests:
 """
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -388,21 +389,20 @@ class TablePMF(InitialDistribution):
         return {"family": "table", "pmf": self.pmf_arr.tolist()}
 
 
-_FAMILIES = {
-    "dirac": lambda s: Dirac(s["k"]),
-    "poisson": lambda s: Poisson(s["lam"]),
-    "geometric": lambda s: Geometric(s["p"]),
-    "logpareto": lambda s: LogPareto(s["a"]),
-    "ylogy": lambda s: YLogY(s.get("rate", 1.0)),
-    "table": lambda s: TablePMF(s["pmf"]),
-}
+_FAMILIES = {"dirac": Dirac, "poisson": Poisson, "geometric": Geometric,
+             "logpareto": LogPareto, "ylogy": YLogY, "table": TablePMF}
 
 
 def dist_from_config(spec: dict) -> InitialDistribution:
-    """Build a count law from config like {"family": "logpareto", "a": 0.5}."""
+    """Build a count law from config like {"family": "logpareto", "a": 0.5};
+    the other keys are the family's constructor arguments, and no others."""
     if not isinstance(spec, dict):
         raise TypeError(f"count law spec must be a mapping, got {spec!r}")
-    family = spec.get("family")
+    params = dict(spec)
+    family = params.pop("family", None)
     if family not in _FAMILIES:
         raise ValueError(f"unknown distribution family: {family!r}")
-    return _FAMILIES[family](spec)
+    unknown = set(params) - set(inspect.signature(_FAMILIES[family]).parameters)
+    if unknown:
+        raise ValueError(f"unknown {family} keys: {sorted(unknown)}")
+    return _FAMILIES[family](**params)

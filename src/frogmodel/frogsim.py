@@ -19,18 +19,16 @@ per oversized cohort, only (a) the first cohort_cap particles to jump and
 are all rightward (binomial thinning of the crowd, minimum of that many
 Erlang times, bridge-distributed intermediate arrivals).  Every simulated
 particle follows the exact walk law; the only approximation is deleting
-the remaining crowd, which can only delay activations.  Like the optional
-front-window pruning, it is biased in the conservative direction for
-explosive behaviour and is flagged in the record.
+the remaining crowd, which can only delay activations.  It is biased in the
+conservative direction for explosive behaviour and is flagged in the record.
 
-Stops (right horizon reached, particle cap, time cap, event cap) are
-recorded, never silent.
+Stops (right horizon reached, particle cap, time cap, event cap, no
+walker left to move) are recorded, never silent.
 """
 from __future__ import annotations
 
 import heapq
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -112,7 +110,6 @@ class FrogConfig:
     particle_cap: int = 2_000_000     # materialized walkers, hard stop + flag
     time_cap: Optional[float] = None
     event_cap: int = 20_000_000
-    prune_window: Optional[int] = None  # freeze walkers this far behind the front
     cohort_cap: Optional[int] = None    # biased speedup for huge counts, see module doc
     seed: int = 0
     origin_boost: bool = True         # one active particle when the origin draws 0
@@ -132,14 +129,6 @@ class FrogConfig:
             raise ValueError("all-zero count law with origin boost disabled "
                              "never produces an active particle")
 
-    def describe(self) -> dict:
-        return {"dist": self.dist.describe(), "right_horizon": self.right_horizon,
-                "left_mode": self.left_mode, "left_horizon": self.left_horizon,
-                "particle_cap": self.particle_cap, "time_cap": self.time_cap,
-                "event_cap": self.event_cap, "prune_window": self.prune_window,
-                "cohort_cap": self.cohort_cap, "seed": self.seed,
-                "origin_boost": self.origin_boost}
-
 
 @dataclass
 class ActivationRecord:
@@ -152,9 +141,7 @@ class ActivationRecord:
     stop_reason: str = ""
     n_events: int = 0
     n_materialized: int = 0
-    n_frozen: int = 0
     flags: dict = field(default_factory=dict)
-    wall_clock: float = 0.0
     seed: int = 0
     trace: Optional[list] = None      # executed jumps per walker (small runs only)
 
@@ -175,10 +162,8 @@ class ActivationRecord:
 def simulate(config: FrogConfig, record_trace: bool = False) -> ActivationRecord:
     """Run one realization; see the module docstring for exactness semantics."""
     config.validate()
-    t_start = time.perf_counter()
     lo = -config.left_horizon if config.left_mode == "window" else 0
     r_max = config.right_horizon
-    prune = config.prune_window
     cohort_cap = config.cohort_cap
 
     batch = config.dist.sample_counts_log(substream(config.seed, "counts"),
@@ -206,13 +191,12 @@ def simulate(config: FrogConfig, record_trace: bool = False) -> ActivationRecord
     trace: Optional[list] = [] if record_trace else None
 
     n_events = 0
-    n_frozen = 0
     n_racers = 0
     n_capped_cohorts = 0
     stop_reason = ""
     flags = {"particle_cap_hit": False, "time_cap_hit": False,
-             "event_cap_hit": False, "pruned": prune is not None,
-             "cohort_capped": False, "origin_boosted": boosted,
+             "event_cap_hit": False, "cohort_capped": False,
+             "origin_boosted": boosted,
              "counts_beyond_float": bool(np.any(np.isinf(counts)))}
 
     def push(t: float, kind: int, idx: int) -> None:
@@ -338,9 +322,6 @@ def simulate(config: FrogConfig, record_trace: bool = False) -> ActivationRecord
         if kind == _PEEL:
             site = idx
             remaining, peeled = cohorts.pop(site)
-            if prune is not None and site < right_vis - prune:
-                n_frozen += 1  # whole cohort frozen behind the front
-                continue
             if cohort_cap is not None and peeled >= cohort_cap:
                 n_capped_cohorts += 1
                 flags["cohort_capped"] = True
@@ -353,12 +334,8 @@ def simulate(config: FrogConfig, record_trace: bool = False) -> ActivationRecord
                 schedule_peel(site, t, remaining)
         elif kind == _JUMP:
             wid = idx
-            pos = walker_pos[wid]
-            if prune is not None and pos < right_vis - prune:
-                n_frozen += 1
-                continue
             step = ev.sign()
-            pos += step
+            pos = walker_pos[wid] + step
             walker_pos[wid] = pos
             if trace is not None:
                 trace[wid]["jumps"].append((t, step))
@@ -391,10 +368,8 @@ def simulate(config: FrogConfig, record_trace: bool = False) -> ActivationRecord
     return ActivationRecord(theta=theta, counts=counts, count_logs=logs,
                             window_lo=lo, stop_reason=stop_reason,
                             n_events=n_events, n_materialized=len(walker_pos),
-                            n_frozen=n_frozen,
                             flags={**flags, "racers": n_racers,
                                    "capped_cohorts": n_capped_cohorts},
-                            wall_clock=time.perf_counter() - t_start,
                             seed=config.seed, trace=trace)
 
 
@@ -416,26 +391,9 @@ class RegimeReport:
 
     label: str                    # label from the median increments
     slope: float                  # least-squares slope of log median increments
-    median_deltas: np.ndarray
     labels: list                  # per-record labels
-    slopes: np.ndarray            # per-record slopes
     agreement: float              # fraction of labels matching the majority
-    majority_label: str
     excluded: int                 # records missing a needed first-visit time
-    base: int
-    levels: int
-    note: str = ("dyadic-slope heuristic at finite horizon; "
-                 "labels are diagnostics, not proofs of (non-)explosion")
-
-    def to_dict(self) -> dict:
-        return {"label": self.label, "slope": float(self.slope),
-                "median_deltas": [float(d) for d in self.median_deltas],
-                "labels": list(self.labels),
-                "slopes": [float(s) for s in self.slopes],
-                "agreement": float(self.agreement),
-                "majority_label": self.majority_label,
-                "excluded": self.excluded, "base": self.base,
-                "levels": self.levels, "note": self.note}
 
 
 def _fit_slope(log_deltas: np.ndarray) -> float:
@@ -490,7 +448,7 @@ def regime_diagnostic(records: list, levels: int = 5,
         raise ValueError(f"horizon {r} != base {base} * 2^{levels}")
     sites = base * (2 ** np.arange(levels + 1))
 
-    theta0, per_deltas, slopes, labels = [], [], [], []
+    theta0, per_deltas, labels = [], [], []
     excluded = 0
     for rec in records:
         vals = rec.theta[sites]
@@ -498,22 +456,16 @@ def regime_diagnostic(records: list, levels: int = 5,
             excluded += 1
             continue
         deltas = np.diff(vals)
-        slope, label = _label_from(deltas, float(vals[-1]))
         theta0.append(vals[0])
         per_deltas.append(deltas)
-        slopes.append(slope)
-        labels.append(label)
+        labels.append(_label_from(deltas, float(vals[-1]))[1])
 
     if not per_deltas:
-        return RegimeReport(LABEL_OPEN, float("nan"), np.array([]), [],
-                            np.array([]), 0.0, LABEL_OPEN, excluded, base, levels)
+        return RegimeReport(LABEL_OPEN, float("nan"), [], 0.0, excluded)
 
     med = np.median(np.stack(per_deltas), axis=0)
     med_theta_top = float(np.median(theta0)) + float(np.sum(med))
     slope, label = _label_from(med, med_theta_top)
 
-    tally = {lab: labels.count(lab) for lab in set(labels)}
-    majority = max(tally, key=tally.get)
-    agreement = tally[majority] / len(labels)
-    return RegimeReport(label, slope, med, labels, np.asarray(slopes),
-                        agreement, majority, excluded, base, levels)
+    agreement = max(labels.count(lab) for lab in set(labels)) / len(labels)
+    return RegimeReport(label, slope, labels, agreement, excluded)

@@ -18,6 +18,9 @@ from scipy.special import gammaln
 NEG_INF = float("-inf")  # extended-real sentinel: log of a zero threshold
 
 DEFAULT_HORIZON = 1_000_000
+# keys each family's config spec may carry besides "family"
+_SPEC_KEYS = {"constant": {"value"}, "power": {"alpha"}, "log_increment": set(),
+              "table": {"values", "path"}}
 
 
 class HorizonError(IndexError):
@@ -110,24 +113,25 @@ class SpeedFunction:
         """Build from a config mapping like {"family": "power", "alpha": 2.0}.
 
         The table family accepts either inline "values" or a "path" to a
-        one-column text file of A(1..H).
+        one-column text file of A(1..H); a key the family does not take is
+        refused.
         """
         spec = dict(spec)
         family = spec.pop("family", None)
-        horizon = int(spec.pop("horizon", horizon))
+        if family not in _SPEC_KEYS:
+            raise ValueError(f"unknown speed family: {family!r}")
+        unknown = set(spec) - _SPEC_KEYS[family]
+        if unknown:
+            raise ValueError(f"unknown {family} speed keys: {sorted(unknown)}")
         if family == "constant":
-            return cls.constant(spec.pop("value"), horizon)
+            return cls.constant(spec["value"], horizon)
         if family == "power":
-            return cls.power(spec.pop("alpha"), horizon)
+            return cls.power(spec["alpha"], horizon)
         if family == "log_increment":
             return cls.log_increment(horizon)
-        if family == "table":
-            if "path" in spec:
-                values = np.loadtxt(spec.pop("path"))
-            else:
-                values = np.asarray(spec.pop("values"), dtype=float)
-            return cls.from_values(values)
-        raise ValueError(f"unknown speed family: {family!r}")
+        if "path" in spec:
+            return cls.from_values(np.loadtxt(spec["path"]))
+        return cls.from_values(np.asarray(spec["values"], dtype=float))
 
     # -- queries -----------------------------------------------------------
 

@@ -12,15 +12,13 @@ the cached horizon H and every report says so.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .speed import SpeedFunction
 from .walks import DEFAULT_REACH_CAP, DEFAULT_TRAJ_CAP, reach_batch
-
-_ORACLE_MAX_H = 64
 
 
 @dataclass(frozen=True)
@@ -70,42 +68,6 @@ def connected_to_horizon(x: int, psi: GrainField | np.ndarray) -> bool:
     if x < 0 or x >= y.size:
         raise ValueError("site outside field")
     return bool(np.all(y[x:y.size - 1] > 0))
-
-
-def chain_connected(x: int, target: int, psi: GrainField | np.ndarray) -> bool:
-    """Small-instance oracle: exhaustive search for a covering chain.
-
-    Follows the chain definition verbatim (first germ at or left of x
-    covering x, successive germs inside the previous grain, last grain
-    covering the target).  Used in tests against the overshoot criterion;
-    guarded to small horizons.
-    """
-    lengths = psi.lengths if isinstance(psi, GrainField) else np.asarray(psi, dtype=np.int64)
-    h = lengths.size - 1
-    if h > _ORACLE_MAX_H:
-        raise ValueError(f"oracle is for horizons <= {_ORACLE_MAX_H}")
-    x, target = int(x), int(target)
-    if not (0 <= x <= target <= h):
-        raise ValueError("need 0 <= x <= target <= horizon")
-    if x == target:
-        return True
-    # direct connection: some z <= x with z + length_z >= target
-    if np.any(np.arange(x + 1) + lengths[:x + 1] >= target):
-        return True
-    start = {z for z in range(x + 1) if z + lengths[z] >= x}
-    frontier = list(start)
-    seen = set(start)
-    while frontier:
-        z = frontier.pop()
-        reach = z + lengths[z]
-        if reach >= target:
-            return True
-        hi = min(reach, h)
-        for nxt in range(z, hi + 1):
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return False
 
 
 def percolation_sequence(psi: GrainField | np.ndarray, x: int) -> np.ndarray:
@@ -231,12 +193,3 @@ def sample_grain_fields(speed: SpeedFunction, dist, horizon: int, rng,
                        count_truncated=truncated[f])
             for f in range(n_fields)]
 
-
-def save_field(path, psi: GrainField) -> None:
-    """One grain length per line; a reproducible text fixture."""
-    np.savetxt(path, psi.lengths, fmt="%d")
-
-
-def load_field(path) -> GrainField:
-    lengths = np.atleast_1d(np.loadtxt(path, dtype=np.int64))
-    return GrainField(lengths, "explicit")

@@ -24,13 +24,12 @@ tau_s > segment(x, cap) or s = cap, so it costs about sqrt(budget) draws
 instead of about budget jumps, and positions are never tracked.  Walkers
 whose first jump misses the budget are thinned out binomially before any
 is materialized; the rest run in blocks of at most `REACH_BLOCK` walkers,
-which bounds memory for any particle count.  `sample_trajectory` and
-`fast_reach` step every jump and are kept as the test oracle.
+which bounds memory for any particle count.  A per-jump stepping version
+of the statistic is kept with the tests, as their oracle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import betaln
@@ -41,60 +40,6 @@ DEFAULT_REACH_CAP = 1000
 DEFAULT_TRAJ_CAP = 100_000
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Jump times, steps, and running positions of one walk started at 0."""
-
-    times: np.ndarray      # strictly increasing jump epochs
-    steps: np.ndarray      # +-1 per jump
-    positions: np.ndarray  # positions immediately after each jump
-    truncated_by: Optional[str] = None   # "max_jumps" | "max_time" | None
-
-    def __post_init__(self):
-        if self.times.size != self.steps.size:
-            raise ValueError("times and steps must align")
-
-
-def sample_trajectory(rng, max_jumps: Optional[int] = None,
-                      max_time: Optional[float] = None) -> Trajectory:
-    """Walk with unit-rate exponential interarrivals and fair +-1 steps.
-
-    Generation stops at whichever horizon hits first; the cause is
-    recorded so downstream code never mistakes truncation for death.
-    """
-    if max_jumps is None and max_time is None:
-        raise ValueError("need max_jumps >= 1 or max_time > 0")
-    if max_jumps is not None and max_jumps < 1:
-        raise ValueError("max_jumps must be >= 1")
-    if max_time is not None and max_time <= 0:
-        raise ValueError("max_time must be positive")
-
-    times = []
-    steps = []
-    t = 0.0
-    truncated = None
-    while True:
-        if max_jumps is not None and len(times) >= max_jumps:
-            truncated = "max_jumps"
-            break
-        t += rng.exponential()
-        if max_time is not None and t > max_time:
-            truncated = "max_time"
-            break
-        times.append(t)
-        steps.append(1 if rng.integers(0, 2) else -1)
-    times = np.asarray(times, dtype=float)
-    steps = np.asarray(steps, dtype=np.int64)
-    return Trajectory(times, steps, np.cumsum(steps), truncated)
-
-
-@dataclass(frozen=True)
-class ReachResult:
-    value: int
-    saturated: bool      # value == cap: true reach is "at least cap"
-    cap: int
-
-
 def _check_sites(speed: SpeedFunction, x: int, cap: int, rows: int = 1) -> None:
     """Sites x..x + rows - 1 need their budgets up to the cap on the table."""
     if x < 0:
@@ -102,31 +47,6 @@ def _check_sites(speed: SpeedFunction, x: int, cap: int, rows: int = 1) -> None:
     if x + rows - 1 + cap > speed.horizon:
         raise ValueError(f"x + cap = {x + rows - 1 + cap} exceeds speed horizon "
                          f"{speed.horizon}")
-
-
-def _segment_table(speed: SpeedFunction, x: int, cap: int) -> np.ndarray:
-    """Crossing budgets segment(x, s) for s = 0..cap."""
-    _check_sites(speed, x, cap)
-    return speed.prefix_arr[x:x + cap + 1] - speed.prefix_arr[x]
-
-
-def fast_reach(speed: SpeedFunction, x: int, trajectories: Sequence[Trajectory],
-               cap: int = DEFAULT_REACH_CAP) -> ReachResult:
-    """Max qualifying rightward distance over the given particles, capped.
-
-    An epoch with position s >= 1 qualifies when its time is within the
-    budget segment(x, min(s, cap)); the empty particle list gives 0.
-    """
-    seg = _segment_table(speed, x, cap)
-    best = 0
-    for traj in trajectories:
-        s_idx = np.clip(traj.positions, 0, cap)
-        qual = (traj.positions >= 1) & (traj.times <= seg[s_idx])
-        if np.any(qual):
-            best = max(best, int(s_idx[qual].max()))
-        if best >= cap:
-            break
-    return ReachResult(min(best, cap), best >= cap, cap)
 
 
 # C(2k, k) / 4^k = P(a first passage to +1 takes more than 2k jumps), k <= 4096

@@ -22,11 +22,12 @@ from frogmodel.frogsim import (ActivationRecord, FrogConfig, regime_diagnostic,
                                simulate)
 from frogmodel.rng import substream
 from frogmodel.speed import SpeedFunction
-from frogmodel.tadibp import (chain_connected, connected_to_horizon,
+from frogmodel.tadibp import (connected_to_horizon,
                               dry_frequency, dry_probability,
                               no_overshoot_frequency, overshoot_sequence,
                               percolation_sequence, sample_grain_fields)
-from frogmodel.walks import estimate_reach_tail, fast_reach, sample_trajectory
+from frogmodel.walks import estimate_reach_tail
+from oracles import chain_connected, fast_reach, sample_trajectory
 
 SEED = 20240817
 
@@ -228,7 +229,7 @@ def test_criterion_7_regime_separation():
         seed = int(substream(SEED, "c7lp", rep).integers(1 << 62))
         heavy_recs.append(simulate(FrogConfig(dist=LogPareto(0.5),
                                               right_horizon=256, seed=seed,
-                                              prune_window=64, cohort_cap=64)))
+                                              cohort_cap=64)))
     rep_lp = regime_diagnostic(heavy_recs)
     agree_lp = np.mean([lab == "explosive-like" for lab in rep_lp.labels])
     assert rep_lp.excluded == 0

@@ -136,6 +136,21 @@ def test_bounds_csv(tmp_path):
                for line in lines)
 
 
+def test_bounds_tail_lower_past_sandwich_horizon(tmp_path):
+    # m + the reach-cap margin lies past the table the sandwich cells need
+    cfg = write_cfg(tmp_path, "b.json",
+                    {"speed": {"family": "constant", "value": 2.0},
+                     "walks_per_cell": 100,
+                     "tail_lower": {"dist": {"family": "poisson", "lam": 1.0},
+                                    "m_values": [1000], "replicas": 10}})
+    out = tmp_path / "out"
+    assert run(["bounds", "--config", cfg, "--output", str(out)]) == 0
+    with open(out / "bounds.csv") as fh:
+        rows = [row for row in csv.DictReader(fh) if row["bound_id"] == "reach_tail_lower"]
+    assert [(row["i"], row["m"]) for row in rows] == [("0", "1000"), ("1", "1000"),
+                                                       ("2", "1000")]
+
+
 def test_sweep_grid_and_degenerate_cell(tmp_path):
     cfg = write_cfg(tmp_path, "s.json",
                     {"dists": [{"family": "dirac", "k": 1},
@@ -253,6 +268,16 @@ def test_override_flags(tmp_path, capsys, sub, flag):
     ("ell-tail", {"traj_cap": 10 ** 19}, "traj_cap"),
     ("dry-prob", {"traj_cap": 2 ** 53 + 1}, "traj_cap"),
     ("sim-tadibp", {"traj_cap": 10 ** 19}, "traj_cap"),
+    ("sim-frog", {"prune_window": 64}, "unknown config keys: ['prune_window']"),
+    ("sweep", {"frog": {"prune_window": 64}}, "frog: unknown config keys: ['prune_window']"),
+    ("bounds", {"tail_lower": {"dist": DIRAC1, "m_values": [5, -1]}},
+     "tail_lower: m_values: must be >= 0"),
+    ("ell-tail", {"dist": {"family": "poisson", "lam": 1.0, "k": 7}},
+     "dist: unknown poisson keys: ['k']"),
+    ("ell-tail", {"speed": {**CONST2, "valeu": 3}},
+     "speed: unknown constant speed keys: ['valeu']"),
+    ("ell-tail", {"speed": {**CONST2, "horizon": 5}},
+     "speed: unknown constant speed keys: ['horizon']"),
 ])
 def test_bad_config_value_exits_2_naming_key(tmp_path, capsys, sub, changes, key):
     cfg = write_cfg(tmp_path, "c.json", {**SMALL[sub], **changes})
@@ -283,10 +308,15 @@ def test_csv_does_not_depend_on_worker_count(tmp_path, sub, payload):
     assert csvs[0] == csvs[1]
 
 
+# almost always zero particles; without the origin boost the run has no walker
+MOSTLY_EMPTY = {"family": "table", "pmf": [0.999, 0.001]}
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_starved_sim_frog_is_censored(tmp_path, seed):
-    cfg = write_cfg(tmp_path, "c.json", {"dist": DIRAC1, "right_horizon": 512,
-                                         "prune_window": 1, "replicas": 4, "seed": seed})
+    cfg = write_cfg(tmp_path, "c.json", {"dist": MOSTLY_EMPTY, "right_horizon": 512,
+                                         "origin_boost": False, "replicas": 4,
+                                         "seed": seed})
     out = tmp_path / "out"
     assert run(["sim-frog", "--config", cfg, "--output", str(out)]) == 3
     meta = json.loads((out / "sim-frog_meta.json").read_text())
@@ -296,8 +326,8 @@ def test_starved_sim_frog_is_censored(tmp_path, seed):
 
 def test_starved_sweep_cell_is_capped(tmp_path):
     cfg = write_cfg(tmp_path, "c.json",
-                    {"dists": [DIRAC1], "right_horizons": [512], "replicas": 2,
-                     "levels": 5, "seed": 1, "frog": {"prune_window": 1}})
+                    {"dists": [MOSTLY_EMPTY], "right_horizons": [512], "replicas": 2,
+                     "levels": 5, "seed": 1, "frog": {"origin_boost": False}})
     out = tmp_path / "out"
     assert run(["sweep", "--config", cfg, "--output", str(out)]) == 3
     with open(out / "sweep.csv") as fh:

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from frogmodel.distributions import Dirac, Poisson
 from frogmodel.rng import substream
 from frogmodel.speed import SpeedFunction
-from frogmodel.tadibp import (GrainField, chain_connected, connected_to_horizon,
-                              dry_frequency, dry_probability, load_field,
+from frogmodel.tadibp import (connected_to_horizon, dry_frequency, dry_probability,
                               no_overshoot_frequency, overshoot_sequence,
                               percolation_sequence, percolation_series,
-                              sample_grain_fields, save_field, wet_mask)
+                              sample_grain_fields, wet_mask)
+from oracles import chain_connected
 
 
 def brute_force_overshoot(lengths):
@@ -219,14 +219,6 @@ def test_sampled_field_enormous_speed_kills_reach():
                                  n_fields=500, cap=16)
     lengths = np.stack([f.lengths for f in fields])
     assert lengths.mean() < 1e-3
-
-
-def test_field_io_round_trip(tmp_path):
-    psi = GrainField(np.array([3, 0, 2, 1, 0]))
-    path = tmp_path / "field.txt"
-    save_field(path, psi)
-    again = load_field(path)
-    assert np.array_equal(psi.lengths, again.lengths)
 
 
 def test_event_frequency_helpers():

@@ -8,8 +8,8 @@ from frogmodel import walks
 from frogmodel.distributions import Dirac, Poisson
 from frogmodel.rng import substream
 from frogmodel.speed import SpeedFunction
-from frogmodel.walks import (Trajectory, estimate_reach_tail, fast_reach,
-                             reach_batch, sample_trajectory)
+from frogmodel.walks import estimate_reach_tail, reach_batch
+from oracles import Trajectory, fast_reach, sample_trajectory
 
 SIGMAS = 4.5  # two-sample tail comparisons: every |z| below this
 
