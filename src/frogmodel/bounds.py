@@ -272,7 +272,8 @@ def verify_sandwich(speed: SpeedFunction, i_values, j_values, walks_per_cell: in
 def verify_reach_tail_lower(dist, speed: SpeedFunction, i_values, m_values,
                             replicas: int, rng, sigmas: float = 3.0,
                             cap_margin: int = CAP_MARGIN) -> list[BoundCheck]:
-    """MC estimate of P{reach from m-i exceeds i} against its closed lower bound."""
+    """MC estimate of P{reach from m-i exceeds i} against its closed lower
+    bound, for every pair with i <= m (the others have no site m - i)."""
     checks = []
     for m in m_values:
         for i in i_values:

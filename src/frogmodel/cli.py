@@ -307,13 +307,19 @@ def _run_check_conditions(p, cfg, out, workers):
 
 
 def _build_bounds(p: dict) -> dict:
+    tl = p["tail_lower"]
+    if tl:  # its i_values default to the top-level ones
+        tl = {**tl, "i_values": p["i_values"] if tl["i_values"] is None else tl["i_values"]}
+        if not any(i <= m for i in tl["i_values"] for m in tl["m_values"]):
+            raise ConfigError(f"tail_lower: no (i, m) pair with i <= m in i_values "
+                              f"{tl['i_values']} and m_values {tl['m_values']}")
     # a tail_lower cell at m reaches up to site m + CAP_MARGIN
-    m_top = max(p["tail_lower"]["m_values"], default=0) if p["tail_lower"] else 0
+    m_top = max(tl["m_values"], default=0) if tl else 0
     speed = _speed(p, max(max(p["i_values"]) + max(p["j_values"]) + 256,
                           m_top + CAP_MARGIN))
     if speed.value(1) <= 1.0:
         raise ConfigError("speed: the bounds need A > 1 everywhere")
-    return {"speed": speed}
+    return {"speed": speed, "tail_lower": tl}
 
 
 def _run_bounds(p, cfg, out, workers):
@@ -321,8 +327,7 @@ def _run_bounds(p, cfg, out, workers):
                              p["walks_per_cell"], substream(p["seed"], "sandwich"))
     tl = p["tail_lower"]
     if tl:
-        i_values = p["i_values"] if tl["i_values"] is None else tl["i_values"]
-        checks += verify_reach_tail_lower(tl["dist"], p["speed"], i_values,
+        checks += verify_reach_tail_lower(tl["dist"], p["speed"], tl["i_values"],
                                           tl["m_values"], tl["replicas"],
                                           substream(p["seed"], "tail-lower"))
     rows = [{**chk.row(), "satisfied": int(chk.satisfied)} for chk in checks]

@@ -3,13 +3,23 @@
 Dormant particles wait at their sites; the particles at the origin start
 active, walk with unit-rate exponential jump clocks and fair +-1 steps, and
 the first arrival at a never-visited site wakes everything there at that
-instant.  The simulation is lazily exact: one pending jump per walking
+instant.  The simulation is lazily exact: one pending move per walking
 particle (memorylessness makes on-demand scheduling exact), and an
 activated crowd of n particles is "peeled" in increasing order of first
 jump via the spacing representation of exponential order statistics
 (the k-th gap is Exp(1)/(n - k)), so only particles that actually jump
 before the run ends are ever materialized.  Counts too large for floats
 enter through their logarithm and peel at (sub-)ulp spacings.
+
+A move skips every jump that cannot wake anything (first-passage kinetic
+Monte Carlo; Opplestrup et al., PRL 97, 230602, 2006).  The visited set
+only grows, so a walker at distance d >= 2 from the nearest unvisited site
+that holds frogs or records a first-visit time changes nothing until it
+leaves (pos - r, pos + r), r the largest power of two <= d, capped at
+`EXIT_RADIUS_CAP`.  Its move is that exit: it lands at pos +- r with
+probability 1/2 each, at time Gamma(N, 1) after the move starts, with N
+the exit's jump count (`walks._exit_jumps`).  A walker next to an
+unvisited site makes one jump: Exp(1) and a +-1 coin.
 
 Heavy-tailed counts make fully exact runs refuse honestly: a site holding
 e^50 particles materializes more walkers than any budget before the front
@@ -37,8 +47,11 @@ from scipy.special import gammaincinv, gammaln
 
 from .distributions import InitialDistribution
 from .rng import substream
+from .walks import _exit_jumps
 
-_PEEL, _JUMP, _RACE = 0, 1, 2
+_PEEL, _JUMP, _EXIT, _RACE = 0, 1, 2, 3
+_EVENT_KINDS = ("peel", "jump", "exit", "race")
+EXIT_RADIUS_CAP = 32  # largest exit radius; 1 steps every jump
 _LN2 = math.log(2.0)
 
 
@@ -75,6 +88,9 @@ class _EventSource:
     def uniforms(self, k: int) -> np.ndarray:
         return self._gen.random(k)
 
+    def gamma(self, shape: int) -> float:
+        return float(self._gen.standard_gamma(shape))
+
     def poisson(self, lam: float) -> int:
         return int(self._gen.poisson(lam))
 
@@ -109,7 +125,7 @@ class FrogConfig:
     left_horizon: int = 0             # window [-L, R] in window mode
     particle_cap: int = 2_000_000     # materialized walkers, hard stop + flag
     time_cap: Optional[float] = None
-    event_cap: int = 20_000_000
+    event_cap: int = 20_000_000       # peels, moves and racer arrivals
     cohort_cap: Optional[int] = None    # biased speedup for huge counts, see module doc
     seed: int = 0
     origin_boost: bool = True         # one active particle when the origin draws 0
@@ -143,7 +159,7 @@ class ActivationRecord:
     n_materialized: int = 0
     flags: dict = field(default_factory=dict)
     seed: int = 0
-    trace: Optional[list] = None      # executed jumps per walker (small runs only)
+    trace: Optional[list] = None      # executed moves per walker (small runs only)
 
     @property
     def reached(self) -> np.ndarray:
@@ -165,6 +181,7 @@ def simulate(config: FrogConfig, record_trace: bool = False) -> ActivationRecord
     lo = -config.left_horizon if config.left_mode == "window" else 0
     r_max = config.right_horizon
     cohort_cap = config.cohort_cap
+    exit_cap = EXIT_RADIUS_CAP
 
     batch = config.dist.sample_counts_log(substream(config.seed, "counts"),
                                           r_max - lo + 1)
@@ -186,11 +203,13 @@ def simulate(config: FrogConfig, record_trace: bool = False) -> ActivationRecord
     last_right_t = 0.0
 
     walker_pos: list[int] = []
+    walker_radius: list[int] = []     # radius of each walker's pending move
     cohorts: dict[int, list] = {}     # site -> [remaining, peeled]
     racers: dict[int, list] = {}      # racer id -> [arrivals list, pointer]
     trace: Optional[list] = [] if record_trace else None
 
     n_events = 0
+    by_kind = [0] * len(_EVENT_KINDS)
     n_racers = 0
     n_capped_cohorts = 0
     stop_reason = ""
@@ -215,13 +234,27 @@ def simulate(config: FrogConfig, record_trace: bool = False) -> ActivationRecord
         wid = len(walker_pos)
         pos = site if first_step is None else site + first_step
         walker_pos.append(pos)
+        walker_radius.append(0)
         if trace is not None:
-            jumps = [] if first_step is None else [(t, first_step)]
-            trace.append({"site": site, "born": t, "jumps": jumps})
+            moves = [] if first_step is None else [(t, first_step)]
+            trace.append({"site": site, "born": t, "moves": moves})
         if first_step is not None:
             visit(pos, t)
-        push(t + ev.exponential(), _JUMP, wid)
+        schedule_move(wid, t)
         return True
+
+    def schedule_move(wid: int, t: float) -> None:
+        """One jump next to an unvisited site, else one exit of (pos - r, pos + r)."""
+        pos = walker_pos[wid]
+        d = right_vis + 1 - pos
+        if left_vis > lo:
+            d = min(d, pos - left_vis + 1)
+        r = min(1 << (d.bit_length() - 1), exit_cap)
+        walker_radius[wid] = r
+        if r == 1:
+            push(t + ev.exponential(), _JUMP, wid)
+        else:
+            push(t + ev.gamma(_exit_jumps(r, ev.uniform())), _EXIT, wid)
 
     def schedule_peel(site: int, t: float, remaining: float) -> None:
         dt = ev.exponential() / remaining if math.isfinite(remaining) else 0.0
@@ -289,9 +322,9 @@ def simulate(config: FrogConfig, record_trace: bool = False) -> ActivationRecord
 
     def visit(site: int, t: float) -> None:
         nonlocal left_vis, right_vis, last_right_t
-        if left_vis <= site <= right_vis:
-            return
-        # nearest-neighbour moves keep the visited set an interval around 0
+        if site < lo or left_vis <= site <= right_vis:
+            return  # left of lo: no frogs, no first-visit time
+        # no move passes an unvisited site, so the visited set stays an interval
         assert site == right_vis + 1 or site == left_vis - 1, \
             "visited set stopped being an interval"
         if site > right_vis:
@@ -318,6 +351,7 @@ def simulate(config: FrogConfig, record_trace: bool = False) -> ActivationRecord
             flags["time_cap_hit"] = True
             break
         n_events += 1
+        by_kind[kind] += 1
 
         if kind == _PEEL:
             site = idx
@@ -332,15 +366,15 @@ def simulate(config: FrogConfig, record_trace: bool = False) -> ActivationRecord
             if remaining >= 1.0:
                 cohorts[site] = [remaining, peeled + 1]
                 schedule_peel(site, t, remaining)
-        elif kind == _JUMP:
+        elif kind != _RACE:  # a jump or an exit
             wid = idx
-            step = ev.sign()
+            step = walker_radius[wid] * ev.sign()
             pos = walker_pos[wid] + step
             walker_pos[wid] = pos
             if trace is not None:
-                trace[wid]["jumps"].append((t, step))
+                trace[wid]["moves"].append((t, step))
             visit(pos, t)
-            push(t + ev.exponential(), _JUMP, wid)
+            schedule_move(wid, t)
         else:  # racer arrival
             arrivals, ptr = racers[idx]
             site, t_arr = arrivals[ptr]
@@ -369,7 +403,8 @@ def simulate(config: FrogConfig, record_trace: bool = False) -> ActivationRecord
                             window_lo=lo, stop_reason=stop_reason,
                             n_events=n_events, n_materialized=len(walker_pos),
                             flags={**flags, "racers": n_racers,
-                                   "capped_cohorts": n_capped_cohorts},
+                                   "capped_cohorts": n_capped_cohorts,
+                                   "events": dict(zip(_EVENT_KINDS, by_kind))},
                             seed=config.seed, trace=trace)
 
 

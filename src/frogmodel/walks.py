@@ -26,9 +26,17 @@ whose first jump misses the budget are thinned out binomially before any
 is materialized; the rest run in blocks of at most `REACH_BLOCK` walkers,
 which bounds memory for any particle count.  A per-jump stepping version
 of the statistic is kept with the tests, as their oracle.
+
+The frog simulator draws its walkers' moves from the same kind of law:
+`_exit_jumps` gives the number of jumps a walk needs to leave (-r, r),
+by inverting a tabulated ruin-duration tail.
 """
 from __future__ import annotations
 
+import functools
+import math
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +79,46 @@ def _ladder_k(u: np.ndarray) -> np.ndarray:
     if deep.size:
         tail[deep] = np.exp(betaln(k[deep] + 0.5, 0.5)) / np.pi
     return k - (tail < u)
+
+
+_EXIT_TAIL_END = 2.0 ** -53  # exit tables run until their tail is at most this
+
+
+@functools.cache
+def _exit_tail(r: int) -> array:
+    """-P(N > r + 2m) for m = 0, 1, ..., ending at the first entry whose
+    tail is <= 2^-53; negated so the floats ascend for bisection.
+
+    N is the number of jumps a fair +-1 walk started at 0 takes to leave
+    (-r, r), r >= 2; it has the parity of r and is at least r.  The
+    spectral form of the ruin duration (Feller, Vol. 1, XIV.5) is
+    P(N > n) = sum over odd j < 2r of (1/r) sin(j pi/2) cot(j pi/4r)
+    cos(j pi/2r)^n.  For n = r mod 2 the terms j and 2r - j combine (cot x
+    - tan x = 2 cot 2x), leaving (2/r) sum over odd j < r of sin(j pi/2)
+    cot(j pi/2r) cos(j pi/2r)^n: every cosine lies in (0, 1), and j = 1
+    dominates the tail, so the table keeps its relative precision there.
+    """
+    # the terms alternate in sign and shrink with j, so the j = 1 term,
+    # below (4/pi) cos(pi/2r)^n, bounds the sum and sizes the table
+    n_end = math.log(_EXIT_TAIL_END * math.pi / 4) / math.log(math.cos(math.pi / (2 * r)))
+    n = r + 2 * np.arange(math.ceil(n_end) // 2 + 1)
+    tail = np.zeros(n.size)
+    for j in range(1, r, 2):
+        a = j * math.pi / (2 * r)
+        coef = (2.0 / r) * math.sin(j * math.pi / 2) / math.tan(a)
+        tail += coef * np.exp(n * math.log(math.cos(a)))
+    end = int(np.argmax(tail <= _EXIT_TAIL_END))
+    assert tail[end] <= _EXIT_TAIL_END, "exit table too short"
+    return array("d", -tail[:end + 1])
+
+
+def _exit_jumps(r: int, u: float) -> int:
+    """N = min{n = r mod 2 : P(N > n) <= u} for u in [0, 1), by bisection.
+
+    u below the table's last tail (probability at most 2^-53) lands one
+    step past the table.
+    """
+    return r + 2 * bisect_left(_exit_tail(r), -u)
 
 
 def reach_batch(speed: SpeedFunction, x: int, counts: np.ndarray, rng,

@@ -278,6 +278,8 @@ def test_override_flags(tmp_path, capsys, sub, flag):
      "speed: unknown constant speed keys: ['valeu']"),
     ("ell-tail", {"speed": {**CONST2, "horizon": 5}},
      "speed: unknown constant speed keys: ['horizon']"),
+    ("bounds", {"tail_lower": {"dist": DIRAC1, "i_values": [20], "m_values": [5]}},
+     "tail_lower: no (i, m) pair with i <= m"),
 ])
 def test_bad_config_value_exits_2_naming_key(tmp_path, capsys, sub, changes, key):
     cfg = write_cfg(tmp_path, "c.json", {**SMALL[sub], **changes})
@@ -306,6 +308,22 @@ def test_csv_does_not_depend_on_worker_count(tmp_path, sub, payload):
                     "--workers", workers]) == 0
         csvs.append(read_csv(out / f"{sub}.csv"))
     assert csvs[0] == csvs[1]
+
+
+def test_sim_frog_event_counts_by_kind_do_not_depend_on_worker_count(tmp_path):
+    cfg = write_cfg(tmp_path, "c.json", {"dist": {"family": "poisson", "lam": 1.0},
+                                         "right_horizon": 64, "replicas": 3, "seed": 9})
+    counts = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        assert run(["sim-frog", "--config", cfg, "--output", str(out),
+                    "--workers", workers]) == 0
+        meta = json.loads((out / "sim-frog_meta.json").read_text())
+        kinds = [flags["events"] for flags in meta["flags"]]
+        assert [sum(k.values()) for k in kinds] == meta["n_events"]
+        counts.append(kinds)
+    assert counts[0] == counts[1]
+    assert all(k["exit"] > 0 for k in counts[0])
 
 
 # almost always zero particles; without the origin boost the run has no walker

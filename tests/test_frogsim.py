@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 from scipy.special import gammainc, gammaincinv
+from scipy.stats import ks_2samp
 
+from frogmodel import frogsim
 from frogmodel.distributions import Dirac, LogPareto, Poisson
 from frogmodel.frogsim import (ActivationRecord, FrogConfig, _min_erlang_quantile,
                                regime_diagnostic, simulate)
+from frogmodel.rng import substream
 
 
 def replay_activation_times(trace, r_max):
@@ -21,7 +24,7 @@ def replay_activation_times(trace, r_max):
             if theta.get(born_site, math.inf) > born:
                 continue  # walker not yet explained by current activations
             pos = born_site
-            for t, step in w["jumps"]:
+            for t, step in w["moves"]:
                 pos += step
                 if t < theta.get(pos, math.inf):
                     theta[pos] = t
@@ -108,27 +111,92 @@ def test_particle_cap_refuses_not_truncates():
     assert rec.flags["particle_cap_hit"]
 
 
+def test_event_counts_by_kind_sum_to_n_events():
+    for cfg in (FrogConfig(dist=Poisson(1.0), right_horizon=64, seed=3),
+                FrogConfig(dist=LogPareto(0.5), right_horizon=64, seed=4, cohort_cap=8),
+                FrogConfig(dist=Dirac(1), right_horizon=4096, seed=1, event_cap=500)):
+        rec = simulate(cfg)
+        kinds = rec.flags["events"]
+        assert set(kinds) == {"peel", "jump", "exit", "race"}
+        assert sum(kinds.values()) == rec.n_events
+        # every walker is peeled from a cohort or ends a racer's sprint
+        assert kinds["peel"] >= rec.n_materialized - rec.flags["racers"]
+        assert kinds["exit"] > 0
+    assert rec.stop_reason == "event-cap" and rec.n_events == 500
+
+
 # -- activation correctness vs dense replay ---------------------------------------
 
+def exit_moves(trace):
+    return sum(abs(step) > 1 for w in trace for _, step in w["moves"])
+
+
 def test_activation_times_match_trace_replay():
+    exits = 0
     for seed in range(25):
         cfg = FrogConfig(dist=Poisson(1.0), right_horizon=5, seed=seed)
         rec = simulate(cfg, record_trace=True)
+        exits += exit_moves(rec.trace)
         oracle = replay_activation_times(rec.trace, 5)
         for site in range(0, 6):
             if not math.isnan(rec.theta[site]):
                 assert oracle.get(site) == rec.theta[site], (seed, site)
+    assert exits > 0
 
 
 def test_activation_replay_window_mode():
+    exits = 0
     for seed in range(10):
         cfg = FrogConfig(dist=Dirac(1), right_horizon=4, seed=seed,
                          left_mode="window", left_horizon=4)
         rec = simulate(cfg, record_trace=True)
+        exits += exit_moves(rec.trace)
         oracle = replay_activation_times(rec.trace, 4)
         for site in range(0, 5):
             if not math.isnan(rec.theta[site]):
                 assert oracle.get(site) == rec.theta[site]
+    assert exits > 0
+
+
+def test_move_radii_are_powers_of_two_up_to_the_cap():
+    for seed in range(10):
+        rec = simulate(FrogConfig(dist=Poisson(1.0), right_horizon=64, seed=seed,
+                                  left_mode="window", left_horizon=16),
+                       record_trace=True)
+        radii = {abs(step) for w in rec.trace for _, step in w["moves"]}
+        assert radii <= {1, 2, 4, 8, 16, 32} and max(radii) > 1
+
+
+# -- exits against per-jump stepping ------------------------------------------------
+
+KS_LEVEL = 1e-3       # every per-site two-sample KS p-value stays above this
+DYADIC_SITES = [4, 8, 16, 32]
+
+
+def dyadic_thetas(dist, cohort_cap, left_mode, key):
+    thetas = []
+    for k in range(300):
+        seed = int(substream(31, *key, k).integers(1 << 62))
+        rec = simulate(FrogConfig(dist=dist, right_horizon=32, seed=seed,
+                                  cohort_cap=cohort_cap, left_mode=left_mode,
+                                  left_horizon=32 if left_mode == "window" else 0))
+        assert rec.stop_reason == "reached-horizon"
+        thetas.append(rec.theta[DYADIC_SITES])
+    return np.array(thetas)
+
+
+@pytest.mark.parametrize("left_mode", ["removed", "window"])
+@pytest.mark.parametrize("dist,cohort_cap", [(Dirac(1), None), (Poisson(1.0), None),
+                                             (LogPareto(0.5), 64)],
+                         ids=["dirac1", "poisson1", "logpareto0.5"])
+def test_exits_match_per_jump_stepping(monkeypatch, dist, cohort_cap, left_mode):
+    key = (dist.name, left_mode)
+    exits = dyadic_thetas(dist, cohort_cap, left_mode, key + ("exits",))
+    monkeypatch.setattr(frogsim, "EXIT_RADIUS_CAP", 1)
+    steps = dyadic_thetas(dist, cohort_cap, left_mode, key + ("steps",))
+    for i, site in enumerate(DYADIC_SITES):
+        p = ks_2samp(exits[:, i], steps[:, i]).pvalue
+        assert p > KS_LEVEL, (site, p)
 
 
 def test_cohort_first_jumps_are_exponential_order_statistics():
@@ -142,7 +210,7 @@ def test_cohort_first_jumps_are_exponential_order_statistics():
         cfg = FrogConfig(dist=Dirac(k), right_horizon=1200, seed=seed,
                          event_cap=2500)
         rec = simulate(cfg, record_trace=True)
-        first = sorted(w["jumps"][0][0] for w in rec.trace if w["site"] == 0)
+        first = sorted(w["moves"][0][0] for w in rec.trace if w["site"] == 0)
         if len(first) == k:
             delays.append(first)
     delays = np.array(delays)

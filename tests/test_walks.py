@@ -182,6 +182,48 @@ def test_ladder_k_deep_tail_inverts_exactly():
         assert central_tail(k) >= ui > central_tail(k + 1), (ui, k)
 
 
+# -- exit law of (-r, r) -----------------------------------------------------------
+
+def absorption_tail(r, size):
+    """P(N > r + 2m), m < size, by stepping the walk's law on (-r, r)
+    two jumps at a time (exact up to float rounding)."""
+    p = np.zeros(2 * r + 1)
+    p[r] = 1.0
+    tail = np.empty(size)
+    for m in range(size):
+        for _ in range(r if m == 0 else 2):
+            p[1:-1] = 0.5 * (p[:-2] + p[2:])
+            p[0] = p[-1] = 0.0
+        tail[m] = p.sum()
+    return tail
+
+
+@pytest.mark.parametrize("r", range(2, 33))
+def test_exit_table_matches_absorption_dp(r):
+    table = -np.asarray(walks._exit_tail(r))
+    dp = absorption_tail(r, table.size)
+    assert np.max(np.abs(table - dp)) <= 1e-12
+    pmf = -np.diff(np.concatenate(([1.0], table)))
+    dp_pmf = -np.diff(np.concatenate(([1.0], dp)))
+    assert np.max(np.abs(pmf - dp_pmf)) <= 1e-12
+    assert table[0] == pytest.approx(1.0 - 2.0 ** (1 - r), abs=1e-12)  # N = r: r equal steps
+    assert np.all(np.diff(table) <= 0)
+    assert table[-1] <= 2.0 ** -53 < table[-2]
+
+
+def test_exit_jumps_inverts_the_table():
+    r = 8
+    table = -np.asarray(walks._exit_tail(r))
+    for m in (0, 1, 17, table.size - 1):
+        # P(N > r + 2m) = table[m]: u just below it asks for more jumps
+        assert walks._exit_jumps(r, table[m]) == r + 2 * m
+        assert walks._exit_jumps(r, np.nextafter(table[m], 0.0)) == r + 2 * (m + 1)
+    assert walks._exit_jumps(r, 0.0) == r + 2 * table.size
+    n = np.array([walks._exit_jumps(r, u) for u in substream(23, "exit").random(200_000)])
+    assert np.all(n % 2 == 0) and n.min() >= r
+    assert n.mean() == pytest.approx(r * r, abs=5 * n.std() / math.sqrt(n.size))
+
+
 def oracle_reach(speed, x, counts, g, cap):
     budget = speed.segment(x, cap)
     return np.array([
