@@ -33,17 +33,21 @@ def main():
                                  substream(args.seed, "fields"),
                                  n_fields=args.fields, cap=cap, traj_cap=5000)
     lengths = np.stack([f.lengths for f in fields])
+    # one sample of replicas per site i serves every m > i, at threshold m - i
+    tails = []
+    for i in range(m_max):
+        ms = [m for m in args.sites if m > i]
+        est = estimate_reach_tail(speed, i, [m - i for m in ms], dist,
+                                  args.reach_replicas, substream(args.seed, "tail", i),
+                                  cap=cap, traj_cap=5000)
+        tails.append(dict(zip(ms, est.p.tolist())))
 
     print(f"{'m':>4} {'dry_freq':>9} {'se':>7} {'no_overshoot':>13} {'formula':>9}")
     for m in args.sites:
         dry = dry_frequency(lengths, m)
         se = math.sqrt(max(dry * (1 - dry), 1e-9) / args.fields)
         noov = no_overshoot_frequency(lengths, m)
-        r = [estimate_reach_tail(speed, i, m - i, dist, args.reach_replicas,
-                                 substream(args.seed, "tail", m, i),
-                                 cap=cap, traj_cap=5000).p
-             for i in range(m)]
-        formula = dry_probability(m, r)
+        formula = dry_probability(m, [tails[i][m] for i in range(m)])
         print(f"{m:>4} {dry:>9.4f} {se:>7.4f} {noov:>13.4f} {formula:>9.4f}")
 
 

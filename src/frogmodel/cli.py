@@ -218,7 +218,8 @@ def _reach_speed(p: dict, largest_j: int, largest_x: int) -> dict:
 
 
 def _reach_tail(args):
-    """One MC reach-tail cell on its own substream; picklable for parallel_map."""
+    """MC reach tails of one site at all its thresholds, on the site's own
+    substream; picklable for parallel_map."""
     p, x, j, replicas, key = args
     return estimate_reach_tail(p["speed"], x, j, p["dist"], replicas,
                                substream(p["seed"], *key),
@@ -237,17 +238,19 @@ def _run_dry_prob(p, cfg, out, workers):
                                   substream(p["seed"], "fields"), n_fields=n_fields,
                                   cap=cap, traj_cap=p["traj_cap"])
     lengths = np.stack([f.lengths for f in fields_])
-    cells = [(p, i, m - i, reach_reps, ("tail", m, i)) for m in p["sites"] for i in range(m)]
-    ests = iter(parallel_map(_reach_tail, cells, workers))
+    # site i serves every m > i, at threshold m - i, from one sample of replicas
+    served = [[m for m in p["sites"] if m > i] for i in range(max(p["sites"]))]
+    cells = [(p, i, [m - i for m in ms], reach_reps, ("tail", i))
+             for i, ms in enumerate(served)]
+    tails = [dict(zip(ms, zip(est.p.tolist(), est.stderr.tolist())))
+             for ms, est in zip(served, parallel_map(_reach_tail, cells, workers))]
     rows = []
     for m in p["sites"]:
-        tails = [next(ests) for _ in range(m)]
-        r_vals = np.array([est.p for est in tails])
-        r_vars = np.array([est.stderr ** 2 for est in tails])
+        r_vals, r_ses = np.array([tails[i][m] for i in range(m)]).T
         formula = dry_probability(m, r_vals)
         with np.errstate(divide="ignore"):
             se_formula = formula * math.sqrt(float(
-                np.sum(r_vars / np.maximum((1.0 - r_vals) ** 2, 1e-30))))
+                np.sum(r_ses ** 2 / np.maximum((1.0 - r_vals) ** 2, 1e-30))))
         ev_freq = no_overshoot_frequency(lengths, m)
         dry_freq = dry_frequency(lengths, m)
         rows.append({"m": m, "formula_p": formula, "formula_se": se_formula,
@@ -264,11 +267,12 @@ def _run_dry_prob(p, cfg, out, workers):
 
 
 def _run_ell_tail(p, cfg, out, workers):
-    cells = [(p, x, j, p["replicas"], ("ell", x, j)) for x in p["x"] for j in p["j"]]
-    rows = [{"x": est.x, "j": est.j, "p": est.p, "stderr": est.stderr,
+    cells = [(p, x, p["j"], p["replicas"], ("ell", x)) for x in p["x"]]
+    rows = [{"x": est.x, "j": j, "p": p_j, "stderr": se_j,
              "replicas": est.replicas, "cap": est.cap,
              "truncated_draws": est.truncated_draws}
-            for est in parallel_map(_reach_tail, cells, workers)]
+            for est in parallel_map(_reach_tail, cells, workers)
+            for j, p_j, se_j in zip(p["j"], est.p.tolist(), est.stderr.tolist())]
     return rows, {}, any(row["truncated_draws"] > 0 for row in rows)
 
 

@@ -24,7 +24,7 @@ from typing import Optional
 
 import mpmath
 import numpy as np
-from scipy.special import gammainc
+from scipy.special import gammainc, pdtr, pdtrik
 
 # largest count with exact float resolution; counts beyond it are carried
 # in log space by sample_counts_log
@@ -211,8 +211,13 @@ class Poisson(InitialDistribution):
         return self.lam
 
     def quantile(self, q):
-        from scipy.stats import poisson as _poisson
-        return float(_poisson.ppf(q, self.lam))
+        # pdtrik inverts the cdf over real k; pdtr then settles the integer
+        k = max(math.ceil(pdtrik(q, self.lam)), 0)
+        while pdtr(k, self.lam) < q:
+            k += 1
+        while k > 0 and pdtr(k - 1, self.lam) >= q:
+            k -= 1
+        return float(k)
 
     def describe(self):
         return {"family": "poisson", "lam": self.lam}

@@ -27,6 +27,11 @@ is materialized; the rest run in blocks of at most `REACH_BLOCK` walkers,
 which bounds memory for any particle count.  A per-jump stepping version
 of the statistic is kept with the tests, as their oracle.
 
+`estimate_reach_tail` estimates P{reach > j} over fresh particle
+configurations.  The tail at every threshold is read off one sorted
+sample of replicas, so a site asked for several j pays for one kernel
+call, and its estimates are non-increasing in j.
+
 The frog simulator draws its walkers' moves from the same kind of law:
 `_exit_jumps` gives the number of jumps a walk needs to leave (-r, r),
 by inverting a tabulated ruin-duration tail.
@@ -38,6 +43,7 @@ import math
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.special import betaln
@@ -188,43 +194,54 @@ def _ladder_block(prefix: np.ndarray, x: int, width: int, owner: np.ndarray,
 
 @dataclass(frozen=True)
 class TailEstimate:
-    """Monte Carlo estimate of P{reach > j} with its binomial stderr."""
+    """Monte Carlo estimate of P{reach > j} with its binomial stderr.
 
-    p: float
-    stderr: float
+    p and stderr are floats for an int j and arrays shaped like j for a
+    sequence of thresholds, all read off the same replicas.
+    """
+
+    p: float | np.ndarray
+    stderr: float | np.ndarray
     replicas: int
     x: int
-    j: int
+    j: int | np.ndarray
     cap: int
     truncated_draws: int    # replicas whose particle count hit the draw clamp
 
 
-def binomial_stderr(p_hat: float, n: int) -> float:
+def binomial_stderr(p_hat, n: int):
     """Binomial stderr with a 1/n floor so 3-sigma margins stay meaningful
-    at zero observed successes."""
-    return max(np.sqrt(p_hat * (1.0 - p_hat) / n), 1.0 / n)
+    at zero observed successes; elementwise, and a float for a scalar p_hat."""
+    se = np.maximum(np.sqrt(p_hat * (1.0 - p_hat) / n), 1.0 / n)
+    return float(se) if se.ndim == 0 else se
 
 
-def estimate_reach_tail(speed: SpeedFunction, x: int, j: int,
+def estimate_reach_tail(speed: SpeedFunction, x: int, j: int | Sequence[int],
                         dist, replicas: int, rng,
                         cap: int = DEFAULT_REACH_CAP,
                         traj_cap: int = DEFAULT_TRAJ_CAP) -> TailEstimate:
     """Estimate P{fast reach at x exceeds j} over fresh particle configurations.
 
     Each replica draws its own particle count from the law and that many
-    walks.  j at or past the cap is refused rather than silently reported
-    as zero.  Counts are clamped at traj_cap (extra walks beyond the clamp
-    could only raise the reach); clamped replicas are counted in the
-    result.
+    walks.  j may be one threshold or a 1-d sequence of them: one sample
+    of replicas serves every threshold, so the estimates at the j's of a
+    sequence are correlated and non-increasing in j, and each equals the
+    estimate a call with that j alone draws from the same rng state.  A j
+    at or past the cap is refused rather than silently reported as zero.
+    Counts are clamped at traj_cap (extra walks beyond the clamp could
+    only raise the reach); clamped replicas are counted in the result.
     """
+    js = np.asarray(j, dtype=np.int64)
     if replicas < 1:
         raise ValueError("need at least one replica")
-    if j >= cap:
-        raise ValueError(f"j = {j} is at or past the reach cap {cap}; "
+    if np.any(js >= cap):
+        raise ValueError(f"j = {int(js.max())} is at or past the reach cap {cap}; "
                          "raise the cap instead of reading a saturated zero")
     counts = dist.sample(rng, size=replicas, clamp=traj_cap)
     truncated = int(np.count_nonzero(counts >= traj_cap))
-    values = reach_batch(speed, x, counts, rng, cap=cap)
-    p_hat = float(np.mean(values > j))
+    values = np.sort(reach_batch(speed, x, counts, rng, cap=cap))
+    p_hat = (replicas - np.searchsorted(values, js, side="right")) / replicas
+    if js.ndim == 0:
+        p_hat, js = float(p_hat), int(js)
     return TailEstimate(p_hat, binomial_stderr(p_hat, replicas),
-                        replicas, x, j, cap, truncated)
+                        replicas, x, js, cap, truncated)

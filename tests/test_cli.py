@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -103,6 +106,24 @@ def test_ell_tail_grid(tmp_path):
     assert len(lines) == 5
 
 
+def test_ell_tail_monotone_in_j_per_x(tmp_path):
+    # adjacent tails differ by about one stderr, so independent draws per
+    # (x, j) would rise somewhere; one sample per x cannot
+    cfg = write_cfg(tmp_path, "e.json",
+                    {"dist": {"family": "poisson", "lam": 2.0},
+                     "speed": {"family": "constant", "value": 0.5},
+                     "x": list(range(8)), "j": [5, 6, 7], "replicas": 300, "seed": 3})
+    out = tmp_path / "out"
+    assert run(["ell-tail", "--config", cfg, "--output", str(out)]) == 0
+    with open(out / "ell-tail.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(int(r["x"]), int(r["j"])) for r in rows] == [
+        (x, j) for x in range(8) for j in [5, 6, 7]]
+    for x in range(8):
+        p = [float(r["p"]) for r in rows if int(r["x"]) == x]
+        assert p[0] >= p[1] >= p[2], (x, p)
+
+
 def test_check_conditions_verdicts(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "c.json",
                     {"dist": {"family": "logpareto", "a": 0.5},
@@ -149,6 +170,27 @@ def test_bounds_tail_lower_past_sandwich_horizon(tmp_path):
         rows = [row for row in csv.DictReader(fh) if row["bound_id"] == "reach_tail_lower"]
     assert [(row["i"], row["m"]) for row in rows] == [("0", "1000"), ("1", "1000"),
                                                        ("2", "1000")]
+
+
+def test_bounds_run_does_not_import_scipy_stats(tmp_path):
+    # a Poisson tail_lower block needs the count law's quantile
+    cfg = write_cfg(tmp_path, "b.json",
+                    {"speed": {"family": "constant", "value": 2.0},
+                     "i_values": [0], "j_values": [1], "walks_per_cell": 100,
+                     "tail_lower": {"dist": {"family": "poisson", "lam": 1.0},
+                                    "m_values": [2], "replicas": 10}})
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    code = ("import sys; from frogmodel.cli import run; "
+            f"assert run(['bounds', '--config', {cfg!r}, '--output', "
+            f"{str(tmp_path / 'out')!r}]) == 0; "
+            "print('scipy.stats' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-1] == "False"
+    assert (tmp_path / "out" / "bounds.csv").exists()
 
 
 def test_sweep_grid_and_degenerate_cell(tmp_path):

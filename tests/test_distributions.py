@@ -170,6 +170,16 @@ def test_quantiles():
     assert math.isinf(LogPareto(0.5).quantile(1 - 1e-12))
 
 
+def test_poisson_quantile_matches_scipy_stats():
+    from scipy.stats import poisson
+    qs = np.concatenate(([1e-12, 1e-9, 1e-6, 1e-3], np.linspace(0.01, 0.99, 99),
+                         [1 - 1e-3, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12]))
+    for lam in np.geomspace(1e-3, 200, 40):
+        po = Poisson(lam)
+        for q in qs:
+            assert po.quantile(q) == float(poisson.ppf(q, lam)), (lam, q)
+
+
 @given(st.floats(0.1, 0.9))
 @settings(max_examples=50, deadline=None)
 def test_geometric_quantile_inverts_cdf(q):

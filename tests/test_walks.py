@@ -284,6 +284,31 @@ def test_estimate_refuses_j_at_cap():
         estimate_reach_tail(s, 0, 10, Dirac(1), 100, substream(10, "cap"), cap=10)
 
 
+def test_estimate_thresholds_share_one_sample():
+    # each threshold reads exactly what a call with it alone draws
+    s = SpeedFunction.power(1.0, horizon=100)
+    js = [4, 0, 2, 2, 7]
+    many = estimate_reach_tail(s, 3, js, Poisson(2.0), 3000, substream(14, "js"),
+                               cap=8, traj_cap=3)
+    assert many.truncated_draws > 0
+    for k, j in enumerate(js):
+        one = estimate_reach_tail(s, 3, j, Poisson(2.0), 3000, substream(14, "js"),
+                                  cap=8, traj_cap=3)
+        assert type(one.p) is float and type(one.stderr) is float and one.j == j
+        assert many.p[k] == one.p and many.stderr[k] == one.stderr
+        assert many.truncated_draws == one.truncated_draws
+    assert np.all(np.diff(many.p[[1, 2, 0, 4]]) <= 0)
+
+
+@pytest.mark.parametrize("js", [[], [3], [1, 2, 5]])
+def test_estimate_shapes_follow_j(js):
+    s = SpeedFunction.constant(1.0, horizon=60)
+    est = estimate_reach_tail(s, 0, js, Dirac(1), 50, substream(15, "shape"), cap=10)
+    assert est.p.shape == est.stderr.shape == np.shape(js)
+    with pytest.raises(ValueError):
+        estimate_reach_tail(s, 0, js + [10], Dirac(1), 50, substream(15, "cap"), cap=10)
+
+
 def test_estimate_site_monotone_in_distribution():
     # larger sites face tighter budgets, so tails can only fall
     s = SpeedFunction.power(1.0, horizon=100)
