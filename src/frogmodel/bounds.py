@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import gammainc, gammaln
 
 from .speed import SpeedFunction
-from .walks import binomial_stderr, estimate_reach_tail
+from .walks import estimate_reach_tail
 
 # the MC comparisons cap the reach at their threshold + CAP_MARGIN
 CAP_MARGIN = 40
@@ -117,26 +117,15 @@ def reach_floor_gate(m: int, speed: SpeedFunction) -> bool:
 
 def reach_tail_lower(i: int, m: int, dist, speed: SpeedFunction) -> float:
     """Lower bound on P{reach from site m-i exceeds i}: 1 - E[(1 - q)^count]
-    with q the single-walk floor.
+    with q the single-walk floor, by the count law's `hit_probability`.
 
-    The expectation is summed exactly to the count distribution's 1-1e-12
-    quantile (or to where the powers drop below 1e-18), and the neglected
-    tail is added back as an upper bound, so the returned value never
-    overstates.
+    Where that is not in closed form it is a lower bracket of the exact
+    expectation (monotone tails over geometric blocks), so the returned
+    value never overstates.
     """
     if speed.value(1) <= 1.0:
         raise ValueError("bound needs A > 1 everywhere; apply the speed shift first")
-    q = reach_floor(i, m, speed)
-    base = 1.0 - q
-    if base <= 0.0:
-        return 1.0 - dist.pmf(0)  # q == 1: any particle at all reaches
-    cutoff = dist.quantile(1.0 - 1e-12)
-    k_geo = math.inf if q <= 0 else math.ceil(-41.5 / math.log1p(-q))
-    k_max = int(min(cutoff, k_geo, 50_000_000))
-    ks = np.arange(0, k_max + 1)
-    expect = float(np.dot(dist.pmf(ks), base ** ks))
-    remainder = float(min(dist.tail(k_max + 1), base ** (k_max + 1)))
-    return 1.0 - min(expect + remainder, 1.0)
+    return dist.hit_probability(reach_floor(i, m, speed))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
 """Initial particle-count laws on the non-negative integers.
 
-Five families: point mass, Poisson, geometric, and two heavy-tailed laws
-realized by flooring a continuous latent variable (exp of a Pareto, and
-exp(Y ln Y) for exponential Y).  Tail queries answer both at plain
-thresholds and at thresholds given only by their natural log, because the
-non-explosion checker compares counts against thresholds that overflow any
-float.
+Six families: point mass, Poisson, geometric, a finite pmf table, and two
+heavy-tailed laws realized by flooring a continuous latent variable (exp of
+a Pareto, and exp(Y ln Y) for exponential Y).  Tail queries answer both at
+plain thresholds and at thresholds given only by their natural log, because
+the non-explosion checker compares counts against thresholds that overflow
+any float.
 
 Conventions, fixed here and relied on by the tests:
   * counts are floor(latent) for the heavy-tailed families, so the
@@ -20,27 +20,22 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass
-from typing import Optional
 
-import mpmath
 import numpy as np
-from scipy.special import gammainc, pdtr, pdtrik
+from scipy.special import gammainc
 
 # largest count with exact float resolution; counts beyond it are carried
 # in log space by sample_counts_log
 EXACT_COUNT_LIMIT = 1 << 53
 _EXACT_FLOAT_LIMIT_LOG = 53 * math.log(2.0)
 
-
-def floor_exp_exact(x: float) -> int:
-    """Exact floor(e^x) for a float x, however large, as a Python int."""
-    if x < 0:
-        return 0
-    if x <= _EXACT_FLOAT_LIMIT_LOG:
-        return int(math.floor(math.exp(x)))
-    # need ~x/ln2 bits for the integer part; mpmath makes the floor exact
-    with mpmath.workprec(int(x * 1.4427) + 64):
-        return int(mpmath.floor(mpmath.exp(x)))
+# hit_probability: terms summed one by one, growth of the geometric blocks
+# past them, the cut where (1 - q)^(k-1) drops below e^-60, and the last k,
+# which keeps the block edges finite floats when q is subnormal
+_HIT_TERMS = 4096
+_HIT_BLOCK_GROWTH = 1.0 + 2.0 ** -10
+_HIT_LOG_CUT = 60.0
+_HIT_K_MAX = 2.0 ** 1000
 
 
 def _ylogy(y: np.ndarray) -> np.ndarray:
@@ -79,6 +74,7 @@ class InitialDistribution:
     The lattice families (Dirac, Poisson, geometric, table) use the default
     `sample`, which clamps the family's `_draw`, and the default
     `tail_at_log`, which snaps e^ell to integers; `_FloorExp` overrides both.
+    Dirac, Poisson and geometric override `hit_probability` by closed forms.
     """
 
     name = "?"
@@ -90,17 +86,7 @@ class InitialDistribution:
         raise NotImplementedError
 
     def _draw(self, rng, size):
-        """Unclamped counts: an int (size None) or an int64 array."""
-        raise NotImplementedError
-
-    def mean(self) -> float:
-        raise NotImplementedError
-
-    def quantile(self, q: float) -> float:
-        """Smallest k with P{count <= k} >= q, as a float (may be inf)."""
-        raise NotImplementedError
-
-    def describe(self) -> dict:
+        """Unclamped counts as an int64 array."""
         raise NotImplementedError
 
     # -- shared helpers ------------------------------------------------------
@@ -114,16 +100,45 @@ class InitialDistribution:
                      _snap_integer(np.exp(np.clip(ell, -700.0, 700.0))))
         return _scalarize(ell, self.tail(x))
 
-    def sample(self, rng, size: Optional[int] = None, clamp: Optional[int] = None):
-        """Draw counts: an exact int for size None (arbitrary-precision floors
-        for the heavy-tailed families), else int64 saturating at `clamp`, which
-        keeps the exact clamped law min(count, clamp); the heavy-tailed
-        families require a clamp, since their counts routinely exceed int64."""
-        draw = self._draw(rng, size)
-        if size is None:
-            return int(draw) if clamp is None else min(int(draw), int(clamp))
-        draw = np.asarray(draw, dtype=np.int64)
+    def sample(self, rng, size, clamp=None):
+        """Draw int64 counts saturating at `clamp`, which keeps the exact
+        clamped law min(count, clamp); the heavy-tailed families require a
+        clamp, since their counts routinely exceed int64."""
+        draw = np.asarray(self._draw(rng, size), dtype=np.int64)
         return draw if clamp is None else np.minimum(draw, clamp)
+
+    def hit_probability(self, q: float) -> float:
+        """1 - E[(1 - q)^count] for 0 <= q < 1: the chance that at least one
+        of `count` independent trials of success chance q succeeds.
+
+        Summation by parts gives q sum_{k >= 1} (1 - q)^(k-1) P{count >= k},
+        whose terms are all positive, so the value keeps its relative
+        precision at tiny q.  Terms k <= 4096 are summed one by one; past
+        them the k run in geometric blocks [k_b, k_{b+1}) with edges
+        ceil(4097 (1 + 2^-10)^b), each weighted by its exact geometric mass
+        and by the tail at its last k.  The sum stops once
+        (1 - q)^(k-1) < e^-60, or past k = 2^1000 (q below about 1e-299).
+        Tails do not increase in k and every dropped term is positive, so the
+        value is a lower bracket of the exact one and never overstates it.
+        """
+        if not 0.0 <= q < 1.0:
+            raise ValueError(f"need 0 <= q < 1, got {q!r}")
+        log_keep = math.log1p(-q)
+        if log_keep == 0.0:
+            return 0.0
+        k_cut = 1.0 + min(_HIT_LOG_CUT / -log_keep, _HIT_K_MAX)
+        ks = np.arange(1.0, min(_HIT_TERMS, math.floor(k_cut)) + 1.0)
+        total = q * float(np.dot(np.exp((ks - 1.0) * log_keep), self.tail(ks)))
+        if k_cut > _HIT_TERMS + 1:
+            n_blocks = math.ceil(math.log(k_cut / (_HIT_TERMS + 1))
+                                 / math.log(_HIT_BLOCK_GROWTH))
+            edges = np.ceil((_HIT_TERMS + 1)
+                            * _HIT_BLOCK_GROWTH ** np.arange(n_blocks + 1.0))
+            start, stop = edges[:-1], edges[1:]
+            # (1 - q)^(start-1) - (1 - q)^(stop-1): the block's geometric mass
+            mass = -np.exp((start - 1.0) * log_keep) * np.expm1((stop - start) * log_keep)
+            total += float(np.dot(mass, self.tail(stop - 1.0)))
+        return total
 
     def pmf(self, k) -> np.ndarray:
         """P{count = k} at integer k, via the exact integer-threshold tails."""
@@ -178,16 +193,10 @@ class Dirac(InitialDistribution):
         return _scalarize(ell, np.where(ell <= math.log(self.k), 1.0, 0.0))
 
     def _draw(self, rng, size):
-        return self.k if size is None else np.full(size, self.k, dtype=np.int64)
+        return np.full(size, self.k, dtype=np.int64)
 
-    def mean(self):
-        return float(self.k)
-
-    def quantile(self, q):
-        return float(self.k)
-
-    def describe(self):
-        return {"family": "dirac", "k": self.k}
+    def hit_probability(self, q):
+        return -math.expm1(self.k * math.log1p(-q))
 
 
 class Poisson(InitialDistribution):
@@ -207,20 +216,8 @@ class Poisson(InitialDistribution):
     def _draw(self, rng, size):
         return rng.poisson(self.lam, size=size)
 
-    def mean(self):
-        return self.lam
-
-    def quantile(self, q):
-        # pdtrik inverts the cdf over real k; pdtr then settles the integer
-        k = max(math.ceil(pdtrik(q, self.lam)), 0)
-        while pdtr(k, self.lam) < q:
-            k += 1
-        while k > 0 and pdtr(k - 1, self.lam) >= q:
-            k -= 1
-        return float(k)
-
-    def describe(self):
-        return {"family": "poisson", "lam": self.lam}
+    def hit_probability(self, q):
+        return -math.expm1(-self.lam * q)
 
 
 class Geometric(InitialDistribution):
@@ -243,26 +240,16 @@ class Geometric(InitialDistribution):
     def _draw(self, rng, size):
         return rng.geometric(self.p, size=size) - 1
 
-    def mean(self):
-        return (1.0 - self.p) / self.p
-
-    def quantile(self, q):
-        if self.p == 1:
-            return 0.0
-        return float(max(0.0, math.ceil(math.log1p(-q) / math.log1p(-self.p)) - 1.0))
-
-    def describe(self):
-        return {"family": "geometric", "p": self.p}
+    def hit_probability(self, q):
+        miss = (1.0 - self.p) * q
+        return miss / (self.p + miss)
 
 
 class _FloorExp(InitialDistribution):
     """Counts floor(e^G) for a latent log G >= 0; a family supplies the draw
-    and quantile of G and `tail_at_log` (the tail at x is the tail at ln x)."""
+    of G and `tail_at_log` (the tail at x is the tail at ln x)."""
 
     def _latent_log(self, rng, size):
-        raise NotImplementedError
-
-    def _latent_quantile(self, q: float) -> float:
         raise NotImplementedError
 
     def tail(self, x):
@@ -270,14 +257,9 @@ class _FloorExp(InitialDistribution):
         with np.errstate(divide="ignore"):
             return _scalarize(x, self.tail_at_log(np.log(np.maximum(x, 0.0))))
 
-    def sample(self, rng, size=None, clamp=None):
-        if size is None:
-            g = float(self._latent_log(rng, None))
-            if clamp is None:
-                return floor_exp_exact(g)
-            return int(clamp) if g >= math.log(clamp) else min(floor_exp_exact(g), int(clamp))
+    def sample(self, rng, size, clamp=None):
         if clamp is None:
-            raise ValueError("vector draws from a heavy-tailed law need a clamp "
+            raise ValueError("draws from a heavy-tailed law need a clamp "
                              "(counts routinely exceed int64)")
         g = self._latent_log(rng, size)
         out = np.full(size, int(clamp), dtype=np.int64)
@@ -293,13 +275,6 @@ class _FloorExp(InitialDistribution):
                           np.inf)
         logs = np.where(np.isfinite(counts), np.log(np.maximum(counts, 1.0)), g)
         return CountBatch(counts, logs)
-
-    def mean(self):
-        return math.inf
-
-    def quantile(self, q):
-        g = self._latent_quantile(q)
-        return math.inf if g > _EXACT_FLOAT_LIMIT_LOG else float(floor_exp_exact(g))
 
 
 class LogPareto(_FloorExp):
@@ -321,12 +296,6 @@ class LogPareto(_FloorExp):
     def _latent_log(self, rng, size):
         u = rng.random(size)
         return u ** (-1.0 / self.a)
-
-    def _latent_quantile(self, q):
-        return (1.0 - q) ** (-1.0 / self.a)
-
-    def describe(self):
-        return {"family": "logpareto", "a": self.a}
 
 
 class YLogY(_FloorExp):
@@ -352,13 +321,6 @@ class YLogY(_FloorExp):
         y = rng.exponential(scale=1.0 / self.rate, size=size)
         return _ylogy(y)
 
-    def _latent_quantile(self, q):
-        yq = -math.log1p(-q) / self.rate
-        return yq * math.log(yq) if yq > 1 else 0.0
-
-    def describe(self):
-        return {"family": "ylogy", "rate": self.rate}
-
 
 class TablePMF(InitialDistribution):
     """Finite-support law given by an explicit pmf on 0..len-1."""
@@ -383,15 +345,6 @@ class TablePMF(InitialDistribution):
 
     def _draw(self, rng, size):
         return rng.choice(self.pmf_arr.size, size=size, p=self.pmf_arr)
-
-    def mean(self):
-        return float(np.dot(self.pmf_arr, np.arange(self.pmf_arr.size)))
-
-    def quantile(self, q):
-        return float(np.searchsorted(np.cumsum(self.pmf_arr), q, side="left"))
-
-    def describe(self):
-        return {"family": "table", "pmf": self.pmf_arr.tolist()}
 
 
 _FAMILIES = {"dirac": Dirac, "poisson": Poisson, "geometric": Geometric,

@@ -203,6 +203,3 @@ class SpeedFunction:
         return SpeedFunction._build(
             "table", self.values_arr[z0 - 1:],
             {"shift_of": self.family, "z0": z0, **self.params})
-
-    def describe(self) -> dict:
-        return {"family": self.family, "horizon": self.horizon, **self.params}

@@ -172,8 +172,24 @@ def test_bounds_tail_lower_past_sandwich_horizon(tmp_path):
                                                        ("2", "1000")]
 
 
+def test_bounds_tail_lower_with_subnormal_floor(tmp_path):
+    # i = 800 puts the single-walk floor near 6e-311, below the normal floats
+    cfg = write_cfg(tmp_path, "b.json",
+                    {"speed": {"family": "constant", "value": 2.0},
+                     "i_values": [0], "j_values": [1], "walks_per_cell": 100,
+                     "tail_lower": {"dist": {"family": "logpareto", "a": 0.5},
+                                    "i_values": [800], "m_values": [1000],
+                                    "replicas": 10}})
+    out = tmp_path / "out"
+    assert run(["bounds", "--config", cfg, "--output", str(out)]) == 0
+    with open(out / "bounds.csv") as fh:
+        rows = [row for row in csv.DictReader(fh) if row["bound_id"] == "reach_tail_lower"]
+    assert len(rows) == 1 and 0.0 < float(rows[0]["bound_value"]) < 1e-9
+
+
 def test_bounds_run_does_not_import_scipy_stats(tmp_path):
-    # a Poisson tail_lower block needs the count law's quantile
+    # the Poisson tail_lower bound is a closed form: neither the
+    # scipy.stats distributions nor mpmath get imported
     cfg = write_cfg(tmp_path, "b.json",
                     {"speed": {"family": "constant", "value": 2.0},
                      "i_values": [0], "j_values": [1], "walks_per_cell": 100,
@@ -185,11 +201,11 @@ def test_bounds_run_does_not_import_scipy_stats(tmp_path):
     code = ("import sys; from frogmodel.cli import run; "
             f"assert run(['bounds', '--config', {cfg!r}, '--output', "
             f"{str(tmp_path / 'out')!r}]) == 0; "
-            "print('scipy.stats' in sys.modules)")
+            "print('scipy.stats' in sys.modules, 'mpmath' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split()[-1] == "False"
+    assert proc.stdout.split()[-2:] == ["False", "False"]
     assert (tmp_path / "out" / "bounds.csv").exists()
 
 

@@ -1,14 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from frogmodel.bounds import reach_tail_lower
 from frogmodel.distributions import (Dirac, Geometric, LogPareto, Poisson,
-                                     TablePMF, YLogY, dist_from_config,
-                                     floor_exp_exact)
+                                     TablePMF, YLogY, dist_from_config)
 from frogmodel.rng import substream
+from frogmodel.speed import SpeedFunction
 
 
 def all_families():
@@ -70,10 +70,11 @@ def test_huge_log_thresholds_hit_zero_for_light_families():
 
 
 def test_pmf_sums_to_one_where_enumerable():
+    ks = np.arange(61)
     for d in [Dirac(2), Poisson(1.0), Geometric(0.5), TablePMF([0.2, 0.5, 0.3])]:
-        q = d.quantile(1 - 1e-12)
-        ks = np.arange(0, int(q) + 1)
-        assert d.pmf(ks).sum() >= 1 - 1e-9, d.name
+        pmf = d.pmf(ks)
+        assert pmf.sum() >= 1 - 1e-9, d.name
+        assert np.allclose(d.cdf_closed(ks), np.cumsum(pmf), rtol=0, atol=1e-12), d.name
 
 
 def test_pmf_telescopes_to_tail_for_heavy_families():
@@ -89,7 +90,9 @@ def test_pmf_telescopes_to_tail_for_heavy_families():
 
 def test_dirac_sampler_constant():
     g = substream(0, "dirac")
-    assert all(Dirac(1).sample(g) == 1 for _ in range(5))
+    draws = Dirac(1).sample(g, size=5)
+    assert draws.dtype == np.int64
+    assert np.all(draws == 1)
 
 
 def test_geometric_sampler_mean():
@@ -124,26 +127,6 @@ def test_heavy_vector_sampling_requires_clamp():
         YLogY(1.0).sample(g, size=10)
 
 
-def test_scalar_sample_exact_big_integer():
-    # the exact floor path: e^100 has 44 digits; check against mpmath-free math
-    n = floor_exp_exact(100.0)
-    assert n.bit_length() == 145
-    assert math.isclose(math.log(float(n)), 100.0, abs_tol=1e-12)
-    assert floor_exp_exact(0.0) == 1
-    assert floor_exp_exact(-1.0) == 0
-    assert floor_exp_exact(1.0) == 2  # floor(e)
-
-
-def test_scalar_heavy_samples_are_ints():
-    g = substream(5, "scalar")
-    lp = LogPareto(2.0)   # light enough that e^X stays in float range w.h.p.
-    vals = [lp.sample(g) for _ in range(200)]
-    assert all(isinstance(v, int) and v >= 2 for v in vals)
-    yl = YLogY(1.0)
-    vals = [yl.sample(g) for _ in range(200)]
-    assert all(isinstance(v, int) and v >= 1 for v in vals)
-
-
 def test_sample_counts_log_marks_huge_draws():
     g = substream(6, "logs")
     batch = LogPareto(0.5).sample_counts_log(g, 50_000)
@@ -155,45 +138,17 @@ def test_sample_counts_log_marks_huge_draws():
                        np.log(np.maximum(batch.counts[finite], 1.0)))
 
 
-def test_means():
-    assert Dirac(3).mean() == 3.0
-    assert Poisson(2.5).mean() == 2.5
-    assert Geometric(0.5).mean() == 1.0
-    assert math.isinf(LogPareto(0.5).mean())
-    assert math.isinf(YLogY(1.0).mean())
-    assert TablePMF([0.5, 0.5]).mean() == 0.5
-
-
-def test_quantiles():
-    assert Geometric(0.5).quantile(0.74) == 1.0
-    assert Dirac(7).quantile(0.999) == 7.0
-    assert math.isinf(LogPareto(0.5).quantile(1 - 1e-12))
-
-
-def test_poisson_quantile_matches_scipy_stats():
-    from scipy.stats import poisson
-    qs = np.concatenate(([1e-12, 1e-9, 1e-6, 1e-3], np.linspace(0.01, 0.99, 99),
-                         [1 - 1e-3, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12]))
-    for lam in np.geomspace(1e-3, 200, 40):
-        po = Poisson(lam)
-        for q in qs:
-            assert po.quantile(q) == float(poisson.ppf(q, lam)), (lam, q)
-
-
-@given(st.floats(0.1, 0.9))
-@settings(max_examples=50, deadline=None)
-def test_geometric_quantile_inverts_cdf(q):
-    geo = Geometric(0.3)
-    k = geo.quantile(q)
-    assert float(geo.cdf_closed(k)) >= q
-    if k >= 1:
-        assert float(geo.cdf_closed(k - 1)) < q
-
-
 def test_dist_from_config_round_trip():
-    for d in all_families():
-        d2 = dist_from_config(d.describe())
-        assert d2.describe() == d.describe()
+    specs = [({"family": "dirac", "k": 3}, Dirac, "k", 3),
+             ({"family": "poisson", "lam": 2.5}, Poisson, "lam", 2.5),
+             ({"family": "geometric", "p": 0.3}, Geometric, "p", 0.3),
+             ({"family": "logpareto", "a": 0.5}, LogPareto, "a", 0.5),
+             ({"family": "ylogy", "rate": 2.0}, YLogY, "rate", 2.0)]
+    for spec, family, key, value in specs:
+        d = dist_from_config(spec)
+        assert type(d) is family and getattr(d, key) == value, spec
+    table = dist_from_config({"family": "table", "pmf": [0.2, 0.5, 0.3]})
+    assert type(table) is TablePMF and table.pmf_arr.tolist() == [0.2, 0.5, 0.3]
     with pytest.raises(ValueError):
         dist_from_config({"family": "zeta", "s": 2})
 
@@ -205,3 +160,57 @@ def test_ylogy_convention_counts_start_at_one():
     assert draws.min() >= 1
     assert YLogY(1.0).tail(1.0) == 1.0
     assert YLogY(1.0).pmf(0) == 0.0
+
+
+# -- hit probability -----------------------------------------------------------
+
+def test_hit_probability_matches_pmf_sum_for_lattice_laws():
+    ks = np.arange(200)
+    for d in [Dirac(3), Poisson(2.5), Geometric(0.3), TablePMF([0.2, 0.5, 0.3])]:
+        for q in [1e-14, 1e-6, 0.05, 0.5]:
+            exact = -float(np.sum(d.pmf(ks) * np.expm1(ks * math.log1p(-q))))
+            assert d.hit_probability(q) == pytest.approx(exact, rel=1e-12, abs=0), \
+                (d.name, q)
+
+
+def test_hit_probability_matches_sampling_for_floor_exp_laws():
+    q, n = 1e-3, 1_000_000
+    for i, d in enumerate([LogPareto(0.5), YLogY(1.0)]):
+        counts = d.sample_counts_log(substream(8, "hit", i), n).counts
+        # an infinite count (above 2^53) hits for sure: (1 - q)^inf = 0
+        hits = -np.expm1(counts * math.log1p(-q))
+        se = hits.std() / math.sqrt(n)
+        assert abs(hits.mean() - d.hit_probability(q)) <= 5 * se, d.name
+
+
+def test_hit_probability_log_pareto_bound_is_exact_and_small():
+    # q = 6.6e-10 with an infinite quantile: a truncated pmf sum gave 2.4e-4
+    # here after 50M-element arrays; the exact value is 0.2209027
+    speed = SpeedFunction.constant(2.0, horizon=200)
+    tracemalloc.start()
+    try:
+        value = reach_tail_lower(20, 40, LogPareto(0.5), speed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.22088 <= value <= 0.2209028
+    assert peak < 64 * 2 ** 20
+
+
+def test_hit_probability_edges():
+    for d in [Dirac(2), Poisson(1.0), Geometric(0.5), LogPareto(0.5), YLogY(1.0),
+              TablePMF([0.2, 0.5, 0.3])]:
+        assert d.hit_probability(0.0) == 0.0, d.name
+    for d in [LogPareto(0.5), YLogY(1.0), TablePMF([0.2, 0.5, 0.3])]:
+        with pytest.raises(ValueError):
+            d.hit_probability(1.0)
+    assert Dirac(0).hit_probability(0.3) == 0.0
+    # the blocks run out to k ~ 6e301 without overflow; 1 - (1 - q)^N lies
+    # between (1 - 1/e) 1{N >= 1/q} and 1{N >= k} + qk for every k
+    q, lp = 1e-300, LogPareto(0.5)
+    value = lp.hit_probability(q)
+    assert (1 - math.exp(-1)) * lp.tail(1 / q) <= value <= lp.tail(1e295) + 1e-5
+    # a subnormal q (a reach floor past e^-708) keeps the blocks finite
+    assert 0.0 < lp.hit_probability(1e-310) <= value
+    table = TablePMF([0.2, 0.5, 0.3])
+    assert table.hit_probability(1e-310) == pytest.approx(1.1e-310, rel=1e-9)
