@@ -276,7 +276,8 @@ def _run_ell_tail(p, cfg, out, workers):
     return rows, {}, any(row["truncated_draws"] > 0 for row in rows)
 
 
-# run in this order, whatever the config's order; horizon 0 means each check's default
+# run in this order, whatever the config's order; horizon caps the largest m a
+# check sums (0: none, so K_MAX dyadic blocks or the end of a speed table)
 _CONDITION_CHECKS = {
     "speed-series": lambda p: check_speed_series(p["speed"], p["horizon"]),
     "nonexplosion": lambda p: check_nonexplosion(p["dist"], p["speed"], p["horizon"]),
@@ -288,7 +289,7 @@ def _build_check_conditions(p: dict) -> dict:
     unknown = set(p["checks"]) - set(_CONDITION_CHECKS)
     if unknown:
         raise ConfigError(f"checks: unknown {sorted(unknown)}, known {list(_CONDITION_CHECKS)}")
-    speed = _speed(p, max(p["horizon"], 1 << 17))
+    speed = _speed(p, 1 << 17)  # the named families read on past it in closed form
     if "explosion" in p["checks"]:  # it needs rho > 1 and a speed it can shift above 1
         if p["rho"] is None or p["rho"] <= 1.0:
             raise ConfigError("rho: the explosion check needs rho > 1")

@@ -3,8 +3,10 @@
 A speed function assigns a positive, non-decreasing rate A(z) to each site
 z = 1..H.  Everything downstream consumes the prefix sums of 1/A (a time
 budget for crossing a stretch of sites) and the log of the factorial
-threshold i! / prefix(i)^i, which grows far past float range and therefore
-only ever exists here in log space.
+threshold i! / P(i)^i, P the prefix of the speed floored at the identity
+line, which grows far past float range and so only ever exists here in log
+space.  The constant, power and log-increment families give ln A and the
+thresholds in closed form past H too, up to z of about 2^1000.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import digamma, gammaln, zeta
 
 NEG_INF = float("-inf")  # extended-real sentinel: log of a zero threshold
 
@@ -163,43 +165,50 @@ class SpeedFunction:
             raise HorizonError(f"segment end {i + j} outside horizon {self.horizon}")
         return float(self.prefix_arr[i + j] - self.prefix_arr[i])
 
+    @property
+    def last_site(self) -> float:
+        """Largest site with a known speed: the table's, or +inf for the
+        named families, which read on in closed form."""
+        return self.horizon if self.family == "table" else math.inf
+
+    def log_value(self, z):
+        """ln A(z) at real z >= 1 (up to about 2^1000 for the named families)."""
+        z = np.asarray(z, dtype=float)
+        if self.family == "constant":
+            out = np.full(z.shape, math.log(self.params["value"]))
+        elif self.family == "power":
+            out = self.params["alpha"] * np.log(z)
+        elif self.family == "log_increment":
+            out = -np.log(np.log1p(1.0 / z))
+        else:
+            out = np.log(self.value(z.astype(np.int64)))
+        return float(out) if np.ndim(out) == 0 else out
+
+    def _floor_prefix(self, i: np.ndarray) -> np.ndarray:
+        """Sum of 1/max(A(z), z) over z <= i, in closed form for real i >= 0."""
+        if self.family == "table":
+            floored = np.maximum(self.values_arr, np.arange(1.0, self.horizon + 1.0))
+            return np.concatenate(([0.0], np.cumsum(1.0 / floored)))[i.astype(np.int64)]
+        if self.family == "log_increment":  # 1/A(z) = ln(1 + 1/z) < 1/z telescopes
+            return np.log1p(i)
+        if self.family == "power" and self.params["alpha"] > 1:  # z^alpha >= z
+            return zeta(self.params["alpha"], 1.0) - zeta(self.params["alpha"], i + 1.0)
+        # 1/max(c, z): 1/c up to floor(c), then harmonic; c = 1 for alpha <= 1
+        c = self.params.get("value", 1.0)
+        top = math.floor(c)
+        return (np.minimum(i, top) / c
+                + digamma(np.maximum(i, top) + 1.0) - digamma(top + 1.0))
+
     def log_tail_threshold(self, i):
-        """ln of the count threshold i! / prefix(i)^i; -inf sentinel at i = 0.
-
-        The threshold itself overflows floats near i = 170 for typical
-        speeds, so it is never materialized in linear space.
+        """ln of the count threshold i! / P(i)^i at real i >= 0, with P(i) the
+        sum of 1/max(A(z), z) over z <= i: the speed floored at the identity
+        line.  -inf sentinel at i = 0.  The threshold overflows floats near
+        i = 170 for typical speeds, so it is never materialized.
         """
-        arr = np.asarray(i)
-        if np.any(arr < 0) or np.any(arr > self.horizon):
+        arr = np.asarray(i, dtype=float)
+        if np.any(arr < 0) or np.any(arr > self.last_site):
             raise HorizonError(f"index outside horizon {self.horizon}")
-        idx = arr.astype(np.int64)
         with np.errstate(divide="ignore", invalid="ignore"):
-            logs = gammaln(idx + 1.0) - idx * np.log(self.prefix_arr[idx])
-        out = np.where(idx == 0, NEG_INF, logs)
+            logs = gammaln(arr + 1.0) - arr * np.log(self._floor_prefix(arr))
+        out = np.where(arr == 0, NEG_INF, logs)
         return float(out) if out.ndim == 0 else out
-
-    # -- derived speeds ----------------------------------------------------
-
-    def with_linear_floor(self) -> "SpeedFunction":
-        """Pointwise max(A(z), z): the speed used by the non-explosion checker.
-
-        Raising A below the identity line keeps the relevant series
-        behaviour while making prefix sums comparable to harmonic numbers.
-        """
-        z = np.arange(1, self.horizon + 1, dtype=float)
-        if np.all(self.values_arr >= z):
-            return self
-        return SpeedFunction._build(
-            "table", np.maximum(self.values_arr, z),
-            {"floor_of": self.family, **self.params})
-
-    def shifted(self, z0: int) -> "SpeedFunction":
-        """The speed m -> A(m + z0 - 1) on the remaining horizon."""
-        z0 = int(z0)
-        if z0 < 1 or z0 > self.horizon:
-            raise HorizonError("shift origin outside horizon")
-        if z0 == 1:
-            return self
-        return SpeedFunction._build(
-            "table", self.values_arr[z0 - 1:],
-            {"shift_of": self.family, "z0": z0, **self.params})

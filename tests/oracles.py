@@ -5,12 +5,16 @@ the jump epochs against the crossing budgets: the per-jump definition of
 the fast-reach statistic that `walks.reach_batch` computes from ladder
 epochs.  `chain_connected` searches covering chains of grains verbatim,
 the definition that `tadibp.connected_to_horizon` reads off the overshoot
-sequence.
+sequence.  `explosion_product_terms` multiplies out every factor of the
+explosion product series, the terms that `conditions.check_explosion`
+brackets block by block.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+import math
 
 import numpy as np
 
@@ -134,3 +138,15 @@ def chain_connected(x: int, target: int, psi: GrainField | np.ndarray) -> bool:
                 seen.add(nxt)
                 frontier.append(nxt)
     return False
+
+
+def explosion_product_terms(dist, speed: SpeedFunction, rho: float, z0: int,
+                            m_max: int) -> np.ndarray:
+    """prod_{i <= m} (1 - P{count >= A(m + z0 - 1)^(rho i)}) for m = 1..m_max,
+    one factor at a time in log space."""
+    out = np.empty(m_max)
+    for m in range(1, m_max + 1):
+        t = np.asarray(dist.tail_at_log(rho * np.arange(1.0, m + 1.0)
+                                        * math.log(speed.value(m + z0 - 1))))
+        out[m - 1] = 0.0 if np.any(t >= 1.0) else math.exp(np.log1p(-t).sum())
+    return out

@@ -135,6 +135,22 @@ def test_check_conditions_verdicts(tmp_path, capsys):
     assert "explosion-consistent" in capsys.readouterr().out
 
 
+def test_check_conditions_huge_horizon_only_caps_the_blocks(tmp_path, capsys):
+    # the speed table stays at 2^17 sites; horizon caps the largest m summed
+    cfg = write_cfg(tmp_path, "c.json",
+                    {"dist": {"family": "logpareto", "a": 0.5},
+                     "speed": {"family": "power", "alpha": 2.0}, "rho": 2.0,
+                     "horizon": 10 ** 15})
+    out = tmp_path / "out"
+    assert run(["check-conditions", "--config", cfg, "--output", str(out)]) == 0
+    reports = json.loads((out / "check-conditions.json").read_text())["reports"]
+    parts = [part for rep in reports.values() for part in rep.get("parts", {}).values()]
+    parts.append(reports["speed-series"])
+    assert len(parts) == 6
+    for part in parts:
+        assert part["horizon"] == 2 ** (part["k_last"] + 1) - 1 <= 10 ** 15
+
+
 def test_check_conditions_requires_rho(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "c.json",
                     {"dist": {"family": "dirac", "k": 1},

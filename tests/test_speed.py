@@ -58,13 +58,27 @@ def test_log_threshold_log_increment_closed_form():
         assert s.log_tail_threshold(i) == pytest.approx(expect, rel=1e-9, abs=1e-9)
 
 
-def test_linear_floor_examples():
-    c = SpeedFunction.constant(2.0, horizon=5).with_linear_floor()
-    assert list(c.values_arr) == [2.0, 2.0, 3.0, 4.0, 5.0]
-    sq = SpeedFunction.power(2.0, horizon=5)
-    assert sq.with_linear_floor() is sq
-    t = SpeedFunction.from_values([0.5, 5.0, 5.0]).with_linear_floor()
-    assert list(t.values_arr) == [1.0, 5.0, 5.0]
+def test_log_threshold_reads_the_speed_floored_at_identity():
+    # 1/max(A(z), z): constant 2 contributes 1/2, 1/2, 1/3 over z = 1..3
+    c = SpeedFunction.constant(2.0, horizon=5)
+    assert c.log_tail_threshold(3) == pytest.approx(math.log(6) - 3 * math.log(4 / 3),
+                                                    abs=1e-12)
+    t = SpeedFunction.from_values([0.5, 5.0, 5.0])
+    assert t.log_tail_threshold(1) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("make", [
+    lambda h: SpeedFunction.constant(2.0, h), lambda h: SpeedFunction.constant(300.0, h),
+    lambda h: SpeedFunction.power(0.5, h), lambda h: SpeedFunction.power(1.0, h),
+    lambda h: SpeedFunction.power(2.0, h), lambda h: SpeedFunction.log_increment(h)])
+def test_closed_forms_past_the_table_match_a_longer_table(make):
+    short, long = make(100), make(5000)
+    i = np.array([1.0, 100.0, 101.0, 777.0, 5000.0])
+    assert np.allclose(short.log_tail_threshold(i), long.log_tail_threshold(i),
+                       rtol=1e-11, atol=1e-9)
+    z = np.array([1.0, 99.0, 4321.0])
+    assert np.allclose(short.log_value(z), np.log(long.value(z.astype(int))), rtol=1e-12)
+    assert np.isfinite(short.log_tail_threshold(2.0 ** 1001))
 
 
 def test_horizon_errors():
@@ -73,8 +87,11 @@ def test_horizon_errors():
         s.prefix(11)
     with pytest.raises(HorizonError):
         s.segment(5, 6)
+    table = SpeedFunction.from_values(np.arange(1.0, 11.0))
     with pytest.raises(HorizonError):
-        s.log_tail_threshold(11)
+        table.log_tail_threshold(11)
+    with pytest.raises(HorizonError):
+        table.log_value(11)
 
 
 def test_construction_rejects_bad_tables():
@@ -121,13 +138,6 @@ def test_threshold_tail_sums_stay_bounded():
     tails = np.cumsum(inv[::-1])[::-1]
     sup = np.max(tails[:250] / inv[:250])
     assert sup < 10.0
-
-
-def test_shift_slices_values():
-    s = SpeedFunction.power(1.0, horizon=10)
-    sh = s.shifted(3)
-    assert list(sh.values_arr) == [3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]
-    assert s.shifted(1) is s
 
 
 def test_from_config_families(tmp_path):

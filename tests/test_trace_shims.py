@@ -28,7 +28,7 @@ CONFIGS = {
     "ell-tail": {"dist": DIRAC1, "speed": CONST2, "x": [0], "j": [1, 2],
                  "replicas": 100, "seed": 1},
     "check-conditions": {"dist": DIRAC1, "speed": {"family": "power", "alpha": 2.0},
-                         "checks": ["speed-series"]},
+                         "checks": ["speed-series", "explosion"], "rho": 2.0},
     "bounds": {"speed": CONST2, "i_values": [0], "j_values": [1],
                "walks_per_cell": 100, "seed": 1},
 }
@@ -52,6 +52,6 @@ def test_shims_install_count_and_uninstall(tmp_path):
     finally:
         tracer.uninstall()
     for name in ("frogsim.events", "walks.walkers", "distributions.draws",
-                 "walks.truncated_draws", "bounds.checks"):
+                 "walks.truncated_draws", "bounds.checks", "conditions.terms"):
         assert tracer.counters[name] > 0, name
     assert cli.simulate is originals[0] and walks.reach_batch is originals[1]
