@@ -10,10 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
-from scipy.special import gammainc, gammaln
 
 from .speed import SpeedFunction
 from .walks import estimate_reach_tail
@@ -24,45 +20,12 @@ CAP_MARGIN = 40
 
 def poisson_tail(n: int, lam: float) -> float:
     """P{Poisson(lam) >= n} via the regularized lower incomplete gamma."""
+    from scipy.special import gammainc  # lazy: only the bounds need it
     if n <= 0:
         return 1.0
     if lam <= 0:
         return 0.0
     return float(gammainc(n, lam))
-
-
-def log_poisson_tail(n: int, lam: float) -> float:
-    """ln P{Poisson(lam) >= n}, falling back to the leading-term expansion
-    when the direct value underflows (arguments past ~700)."""
-    p = poisson_tail(n, lam)
-    if p > 1e-300:
-        return math.log(p)
-    if lam <= 0:
-        return float("-inf")
-    # tail ~ pmf(n) / (1 - lam/(n+1)) for n >> lam
-    log_pmf = -lam + n * math.log(lam) - gammaln(n + 1)
-    ratio = lam / (n + 1.0)
-    return log_pmf - math.log1p(-ratio) if ratio < 1 else log_pmf
-
-
-@dataclass(frozen=True)
-class ErlangLower:
-    bound: float     # e^{-b} b^n / n!
-    exact: float     # P{sum of n unit exponentials <= b}
-
-
-def erlang_lower(n: int, b: float) -> ErlangLower:
-    """Lower-bound the chance that n unit-exponential waits fit inside b.
-
-    The single-term bound e^{-b} b^n / n! never exceeds the exact Erlang
-    CDF (the regularized incomplete gamma), which is returned alongside.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1 jumps")
-    if b <= 0:
-        raise ValueError("need a positive time budget")
-    log_bound = -b + n * math.log(b) - gammaln(n + 1)
-    return ErlangLower(math.exp(log_bound), float(gammainc(n, b)))
 
 
 def reach_lower_bound(n: int, x: int, speed: SpeedFunction) -> float:
@@ -175,38 +138,6 @@ def reach_upper_chain(i: int, j: int, speed: SpeedFunction,
             break
         n += 1
     return ChainBound(total, 0.0 if prev is None else prev, ratios_bad >= 20, truncated)
-
-
-def geometric_tail_constant(alphas: Sequence[float], r: float, n: int) -> float:
-    """Witnessed sup over m of (sum of alphas from m on) / alpha_m.
-
-    Requires the ratio condition alpha_{i+1}/alpha_i <= r for all i >= n
-    (1-based) on the provided range; the first offending index is named on
-    refusal.  The witnessed sup is checked against the n * max-ratio +
-    max-ratio/(1-r) cap implied by splitting the tail at n.
-    """
-    a = np.asarray(alphas, dtype=float)
-    if a.size < 2:
-        raise ValueError("need at least two terms")
-    if np.any(a <= 0):
-        raise ValueError("terms must be positive")
-    if not 0 < r < 1:
-        raise ValueError("ratio bound must lie in (0, 1)")
-    if not 1 <= n <= a.size:
-        raise ValueError("n must index into the sequence (1-based)")
-    ratios = a[1:] / a[:-1]
-    viol = np.nonzero(ratios[n - 1:] > r)[0]
-    if viol.size:
-        bad = n + int(viol[0])  # 1-based index i with alpha_{i+1}/alpha_i > r
-        raise ValueError(f"ratio condition fails at index {bad}: "
-                         f"alpha[{bad + 1}]/alpha[{bad}] = {ratios[bad - 1]:.6g} > {r}")
-    tails = np.cumsum(a[::-1])[::-1]
-    witnessed = float(np.max(tails / a))
-    head = a[:n]
-    ratio_max = max(1.0, float(np.max(head) / np.min(head)))
-    cap = n * ratio_max + ratio_max / (1.0 - r)
-    assert witnessed <= cap + 1e-9, "witnessed constant exceeds its structural cap"
-    return witnessed
 
 
 @dataclass(frozen=True)

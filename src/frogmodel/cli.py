@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -20,7 +21,7 @@ import sys
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -60,6 +61,7 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+@functools.cache  # the loaded code cannot change within a process
 def _git_describe() -> str:
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty"],
@@ -70,18 +72,40 @@ def _git_describe() -> str:
         return "unknown"
 
 
+CSV_BLOCK = 4096  # rows stringified at a time: bounds the writer's memory
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)
 
 
-def _write_csv(path: Path, fieldnames: list, rows: list) -> None:
+def _strings(column) -> Iterable[str]:
+    """One column's CSV fields: floats as .17g (nan as nan), integer and
+    flag arrays as decimal ints, any other value by str."""
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind != "f":
+            return map(str, column.astype(np.int64).tolist())
+        column = column.tolist()
+    return map(_fmt, column)
+
+
+def _write_csv(path: Path, columns: list, blocks: Iterable[dict]) -> None:
+    """The CSV of every command: a header, then each {column: sequence}
+    block's rows, CSV_BLOCK rows at a time."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([_fmt(row.get(k, "")) for k in fieldnames])
+        writer.writerow(columns)
+        for block in blocks:
+            cols = [block[c] for c in columns]
+            for lo in range(0, len(cols[0]), CSV_BLOCK):
+                writer.writerows(zip(*(_strings(c[lo:lo + CSV_BLOCK]) for c in cols)))
+
+
+def _block(rows: list) -> list:
+    """A few row dicts, each with every column, as one block (none if no rows)."""
+    return [{k: [row[k] for row in rows] for k in rows[0]}] if rows else []
 
 
 # -- config parsing ------------------------------------------------------------
@@ -156,7 +180,7 @@ class Command:
     keys: dict        # config key -> (coercer, default or REQUIRED)
     columns: list     # CSV columns
     build: Callable   # parsed keys -> {name: object built from several keys}
-    runner: Callable  # (parsed, config, outdir, workers) -> (rows iterable, extras, flagged)
+    runner: Callable  # (parsed, config, outdir, workers) -> (CSV blocks, extras, flagged)
     flags: dict = field(default_factory=dict)  # --horizon/--replicas -> config key
 
 
@@ -180,13 +204,13 @@ def _run_one_frog(args):
 def _run_sim_frog(p, cfg, out, workers):
     records = parallel_map(_run_one_frog,
                            [(p["frog"], r) for r in range(p["replicas"])], workers)
-    rows = [{"replica": r, "site": site, "theta": rec.theta[site],
-             "reached": int(not math.isnan(rec.theta[site]))}
-            for r, rec in enumerate(records) for site in range(1, rec.right_horizon + 1)]
+    blocks = [{"replica": np.full(rec.right_horizon, r),
+               "site": np.arange(1, rec.right_horizon + 1), "theta": rec.theta[1:],
+               "reached": ~np.isnan(rec.theta[1:])} for r, rec in enumerate(records)]
     extras = {"stop_reasons": [rec.stop_reason for rec in records],
               "flags": [rec.flags for rec in records],
               "n_events": [rec.n_events for rec in records]}
-    return rows, extras, any(rec.censored for rec in records)
+    return blocks, extras, any(rec.censored for rec in records)
 
 
 def _run_sim_tadibp(p, cfg, out, workers):
@@ -195,17 +219,22 @@ def _run_sim_tadibp(p, cfg, out, workers):
                                   substream(p["seed"], "tadibp"), n_fields=p["fields"],
                                   cap=p["reach_cap"], traj_cap=p["traj_cap"])
 
-    def rows():  # streamed to the CSV: fields x sites rows never sit in memory at once
-        for f, psi in enumerate(fields_):
-            y, wet = overshoot_sequence(psi), wet_mask(psi)
-            for site in range(horizon + 1):
-                yield {"field": f, "site": site, "psi": int(psi.lengths[site]),
-                       "overshoot": int(y[site]), "wet": int(wet[site]),
-                       "value_saturated": int(psi.value_saturated[site]),
-                       "count_truncated": int(psi.count_truncated[site])}
+    def blocks():  # whole fields, about CSV_BLOCK rows at a time, made as written
+        width = horizon + 1
+        per = max(1, CSV_BLOCK // width)
+        for f0 in range(0, len(fields_), per):
+            group = fields_[f0:f0 + per]
+            ys = [overshoot_sequence(psi) for psi in group]
+            yield {"field": np.repeat(np.arange(f0, f0 + len(group)), width),
+                   "site": np.tile(np.arange(width), len(group)),
+                   "psi": np.concatenate([psi.lengths for psi in group]),
+                   "overshoot": np.concatenate(ys),
+                   "wet": np.concatenate([wet_mask(psi, y) for psi, y in zip(group, ys)]),
+                   "value_saturated": np.concatenate([psi.value_saturated for psi in group]),
+                   "count_truncated": np.concatenate([psi.count_truncated for psi in group])}
     extras = {"reach_cap": p["reach_cap"], "traj_cap": p["traj_cap"],
               "censoring_note": f"connectivity statements are horizon-censored at {horizon}"}
-    return rows(), extras, any(psi.value_saturated.any() or psi.count_truncated.any()
+    return blocks(), extras, any(psi.value_saturated.any() or psi.count_truncated.any()
                                for psi in fields_)
 
 
@@ -263,7 +292,7 @@ def _run_dry_prob(p, cfg, out, workers):
               "note": ("formula_p multiplies complements of P{reach from i past m}; "
                        "its event is no_overshoot (thresholds m-i), the classical "
                        "dry event tightens thresholds by one")}
-    return rows, extras, False
+    return _block(rows), extras, False
 
 
 def _run_ell_tail(p, cfg, out, workers):
@@ -273,7 +302,7 @@ def _run_ell_tail(p, cfg, out, workers):
              "truncated_draws": est.truncated_draws}
             for est in parallel_map(_reach_tail, cells, workers)
             for j, p_j, se_j in zip(p["j"], est.p.tolist(), est.stderr.tolist())]
-    return rows, {}, any(row["truncated_draws"] > 0 for row in rows)
+    return _block(rows), {}, any(row["truncated_draws"] > 0 for row in rows)
 
 
 # run in this order, whatever the config's order; horizon caps the largest m a
@@ -308,7 +337,7 @@ def _run_check_conditions(p, cfg, out, workers):
     print(f"{'check':<16} verdict")
     for row in rows:
         print(f"{row['check']:<16} {row['verdict']}")
-    return rows, {}, False
+    return _block(rows), {}, False
 
 
 def _build_bounds(p: dict) -> dict:
@@ -335,8 +364,9 @@ def _run_bounds(p, cfg, out, workers):
         checks += verify_reach_tail_lower(tl["dist"], p["speed"], tl["i_values"],
                                           tl["m_values"], tl["replicas"],
                                           substream(p["seed"], "tail-lower"))
-    rows = [{**chk.row(), "satisfied": int(chk.satisfied)} for chk in checks]
-    return rows, {"unsatisfied": sum(not c.satisfied for c in checks)}, False
+    rows = [{"j": "", "m": "", "dist": "", **chk.row(), "satisfied": int(chk.satisfied)}
+            for chk in checks]  # a check without some parameter leaves its cell empty
+    return _block(rows), {"unsatisfied": sum(not c.satisfied for c in checks)}, False
 
 
 def _build_sweep(p: dict) -> dict:
@@ -383,15 +413,15 @@ def _run_sweep(p, cfg, out, workers):
     if p["emit_gnuplot"]:
         _emit_gnuplot(out, {cid: med for cid, (_, med) in enumerate(results)
                             if med is not None})
-    return rows, {}, any(row["capped"] or row["error"] for row in rows)
+    return _block(rows), {}, any(row["capped"] or row["error"] for row in rows)
 
 
 def _emit_gnuplot(outdir: Path, curves: dict) -> None:
     """Median first-visit curves per cell plus a ready-to-run plot script."""
     for cid, theta in curves.items():
-        rows = [{"site": s, "theta": theta[s]} for s in range(theta.size)
-                if not math.isnan(theta[s])]
-        _write_csv(outdir / f"theta_cell{cid}.csv", ["site", "theta"], rows)
+        sites = np.flatnonzero(~np.isnan(theta))
+        _write_csv(outdir / f"theta_cell{cid}.csv", ["site", "theta"],
+                   [{"site": sites, "theta": theta[sites]}])
     lines = ["set datafile separator ','", "set key left top",
              "set xlabel 'site'", "set ylabel 'median first-visit time'",
              "set logscale y"]
@@ -466,6 +496,7 @@ COMMANDS = {
 
 # -- entry point ---------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="frogmodel",
@@ -505,8 +536,8 @@ def run(argv=None) -> int:
     outdir = Path(args.output or os.environ.get(OUTPUT_ENV, "out"))
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    rows, extras, flagged = command.runner(p, cfg, outdir, args.workers)
-    _write_csv(outdir / f"{name}.csv", command.columns, rows)
+    blocks, extras, flagged = command.runner(p, cfg, outdir, args.workers)
+    _write_csv(outdir / f"{name}.csv", command.columns, blocks)
     wall = time.perf_counter() - t0
     code = EXIT_PARTIAL if flagged else EXIT_OK
     sidecar = {"subcommand": name, "version": __version__, "build": _git_describe(),

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
 
 # largest count with exact float resolution; counts beyond it are carried
 # in log space by sample_counts_log
@@ -208,6 +207,7 @@ class Poisson(InitialDistribution):
         self.lam = float(lam)
 
     def tail(self, x):
+        from scipy.special import gammainc  # lazy: simulation never needs it
         x = np.asarray(x, dtype=float)
         k = np.maximum(np.ceil(x), 0.0)
         # P{N >= k} is the regularized lower incomplete gamma P(k, lam)

@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaincinv, gammaln
 
 from .distributions import InitialDistribution
 from .rng import substream
@@ -101,6 +100,7 @@ class _EventSource:
 def _min_erlang_quantile(depth: int, ln_q: float) -> float:
     """t with P{Erlang(depth) <= t} = e^{ln_q}, robust to astronomically
     small quantile levels (log-space Newton on the leading expansion)."""
+    from scipy.special import gammaincinv, gammaln  # lazy: racers only
     q = math.exp(ln_q) if ln_q > -600 else 0.0
     if q > 1e-280:
         return float(gammaincinv(depth, q))

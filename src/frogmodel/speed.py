@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-from scipy.special import digamma, gammaln, zeta
 
 NEG_INF = float("-inf")  # extended-real sentinel: log of a zero threshold
 
@@ -186,6 +185,7 @@ class SpeedFunction:
 
     def _floor_prefix(self, i: np.ndarray) -> np.ndarray:
         """Sum of 1/max(A(z), z) over z <= i, in closed form for real i >= 0."""
+        from scipy.special import digamma, zeta  # lazy: most runs never need it
         if self.family == "table":
             floored = np.maximum(self.values_arr, np.arange(1.0, self.horizon + 1.0))
             return np.concatenate(([0.0], np.cumsum(1.0 / floored)))[i.astype(np.int64)]
@@ -205,6 +205,7 @@ class SpeedFunction:
         line.  -inf sentinel at i = 0.  The threshold overflows floats near
         i = 170 for typical speeds, so it is never materialized.
         """
+        from scipy.special import gammaln  # lazy: most runs never need it
         arr = np.asarray(i, dtype=float)
         if np.any(arr < 0) or np.any(arr > self.last_site):
             raise HorizonError(f"index outside horizon {self.horizon}")

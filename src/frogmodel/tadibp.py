@@ -51,10 +51,10 @@ def overshoot_sequence(psi: GrainField | np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(sites + lengths) - sites
 
 
-def wet_mask(psi: GrainField | np.ndarray) -> np.ndarray:
+def wet_mask(psi: GrainField | np.ndarray, y: Optional[np.ndarray] = None) -> np.ndarray:
     """Site 0 wet by convention; site m >= 1 wet iff some grain left of m
-    reaches m, i.e. Y[m-1] >= 1."""
-    y = overshoot_sequence(psi)
+    reaches m, i.e. Y[m-1] >= 1 (y: psi's overshoot sequence, if at hand)."""
+    y = overshoot_sequence(psi) if y is None else y
     out = np.empty(y.size, dtype=bool)
     out[0] = True
     out[1:] = y[:-1] >= 1

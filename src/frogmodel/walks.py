@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import betaln
 
 from .speed import SpeedFunction
 
@@ -83,6 +82,7 @@ def _ladder_k(u: np.ndarray) -> np.ndarray:
     tail = _K_TAIL[np.minimum(k, _K_TABLE_SIZE).astype(np.intp)]
     deep = np.flatnonzero(k > _K_TABLE_SIZE)
     if deep.size:
+        from scipy.special import betaln  # lazy: only K past the table needs it
         tail[deep] = np.exp(betaln(k[deep] + 0.5, 0.5)) / np.pi
     return k - (tail < u)
 

@@ -7,13 +7,15 @@ epochs.  `chain_connected` searches covering chains of grains verbatim,
 the definition that `tadibp.connected_to_horizon` reads off the overshoot
 sequence.  `explosion_product_terms` multiplies out every factor of the
 explosion product series, the terms that `conditions.check_explosion`
-brackets block by block.
+brackets block by block.  `write_rows_csv` writes a CSV one row dict at a
+time: the bytes that `cli._write_csv` makes from column blocks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import csv
 import math
 
 import numpy as np
@@ -150,3 +152,19 @@ def explosion_product_terms(dist, speed: SpeedFunction, rho: float, z0: int,
                                         * math.log(speed.value(m + z0 - 1))))
         out[m - 1] = 0.0 if np.any(t >= 1.0) else math.exp(np.log1p(-t).sum())
     return out
+
+
+def _fmt(value) -> str:
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def write_rows_csv(path, fieldnames: list, rows) -> None:
+    """A CSV of one dict per row: floats as .17g, any other value by str, a
+    key the row lacks as an empty cell."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(fieldnames)
+        for row in rows:
+            writer.writerow([_fmt(row.get(k, "")) for k in fieldnames])

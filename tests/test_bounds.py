@@ -3,35 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from frogmodel.bounds import (erlang_lower, geometric_tail_constant,
-                              log_poisson_tail, poisson_tail, reach_floor,
-                              reach_floor_coarse, reach_floor_gate,
-                              reach_lower_bound, reach_tail_lower,
-                              reach_upper_chain, verify_reach_tail_lower,
-                              verify_sandwich)
+from frogmodel.bounds import (poisson_tail, reach_floor, reach_floor_coarse,
+                              reach_floor_gate, reach_lower_bound,
+                              reach_tail_lower, reach_upper_chain,
+                              verify_reach_tail_lower, verify_sandwich)
 from frogmodel.distributions import Dirac, Geometric, Poisson
 from frogmodel.rng import substream
 from frogmodel.speed import SpeedFunction
 
 A2 = SpeedFunction.constant(2.0, horizon=3000)
 Z1 = SpeedFunction.from_values(np.arange(1, 3001) + 1.0)  # A(z) = z + 1
-
-
-def test_erlang_lower_examples():
-    r = erlang_lower(1, 1.0)
-    assert r.bound == pytest.approx(math.exp(-1), abs=1e-12)
-    assert r.exact == pytest.approx(1 - math.exp(-1), abs=1e-12)
-    assert r.bound <= r.exact
-    r = erlang_lower(2, 0.1)
-    assert r.bound == pytest.approx(math.exp(-0.1) * 0.01 / 2, rel=1e-12)
-    assert r.exact == pytest.approx(1 - math.exp(-0.1) * 1.1, rel=1e-9)
-    assert r.bound <= r.exact
-
-
-def test_erlang_lower_vanishes_with_budget():
-    for b in [1e-3, 1e-6, 1e-9]:
-        r = erlang_lower(3, b)
-        assert 0 < r.bound <= r.exact < 1e-6
 
 
 def test_reach_lower_bound_plugin_values():
@@ -101,26 +82,6 @@ def test_chain_flags_nondecreasing_terms():
 
 def test_poisson_tail_log_fallback():
     assert poisson_tail(0, 3.0) == 1.0
-    assert log_poisson_tail(2, 1.0) == pytest.approx(
-        math.log(1 - math.exp(-1) * 2), rel=1e-10)
-    # far tail: direct value underflows but the log stays finite
-    val = log_poisson_tail(800, 1.0)
-    assert -6000 < val < -4000
-
-
-def test_geometric_tail_constant_examples():
-    alphas = [2.0 ** -i for i in range(1, 50)]
-    c = geometric_tail_constant(alphas, 0.5, 1)
-    assert c == pytest.approx(2.0, rel=1e-9)
-    pois = [math.exp(-1) / math.factorial(i) for i in range(0, 30)]
-    c = geometric_tail_constant(pois, 0.5, 2)
-    assert np.isfinite(c) and c < 10
-
-
-def test_geometric_tail_constant_refusal_names_index():
-    alphas = [1.0 / i for i in range(1, 40)]
-    with pytest.raises(ValueError, match="fails at index"):
-        geometric_tail_constant(alphas, 0.5, 3)
 
 
 def test_bound_evaluations_finite_on_large_grid():

@@ -225,6 +225,32 @@ def test_bounds_run_does_not_import_scipy_stats(tmp_path):
     assert (tmp_path / "out" / "bounds.csv").exists()
 
 
+def test_frog_runs_do_not_import_scipy_special(tmp_path):
+    # scipy.special is loaded by the functions that call it; a Dirac or
+    # Poisson sweep and a sim-frog run without cohort_cap call none of them
+    sweep = write_cfg(tmp_path, "s.json",
+                      {"dists": [{"family": "dirac", "k": 1},
+                                 {"family": "poisson", "lam": 1.0}],
+                       "right_horizons": [16], "replicas": 2, "levels": 2,
+                       "emit_gnuplot": True, "seed": 1})
+    frog = write_cfg(tmp_path, "f.json", {"dist": {"family": "poisson", "lam": 1.0},
+                                          "right_horizon": 16, "replicas": 2, "seed": 1})
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    code = ("import sys; from frogmodel.cli import run; "
+            f"assert run(['sweep', '--config', {sweep!r}, '--output', "
+            f"{str(tmp_path / 'o1')!r}, '--workers', '1']) == 0; "
+            f"assert run(['sim-frog', '--config', {frog!r}, '--output', "
+            f"{str(tmp_path / 'o2')!r}, '--workers', '1']) == 0; "
+            "print('scipy.special' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-1] == "False"
+    assert (tmp_path / "o1" / "theta_cell0.csv").exists()
+
+
 def test_sweep_grid_and_degenerate_cell(tmp_path):
     cfg = write_cfg(tmp_path, "s.json",
                     {"dists": [{"family": "dirac", "k": 1},
